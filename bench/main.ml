@@ -576,7 +576,7 @@ let run_phase1 workloads =
 (* --- robustness: integrity overhead on real cache entries --- *)
 
 (* The checksum trailer is pure insurance; this section prices it: raw
-   CRC-32 throughput over a real encoded trace, then the sealed
+   CRC-32 throughput over a real trace's EBPT3 cache entry, then the sealed
    store -> verify -> checksummed lookup path on a private cache
    directory. One workload and a handful of I/O round-trips, so it is
    cheap enough to run under --quick too. *)
@@ -585,7 +585,7 @@ let run_robustness (w : Ebp_workloads.Workload.t) =
   let module Trace = Ebp_trace.Trace in
   let module Trace_cache = Ebp_trace.Trace_cache in
   print_endline
-    "Integrity overhead: CRC-32 over the encoded trace, and the sealed\n\
+    "Integrity overhead: CRC-32 over the trace's cache entry, and the sealed\n\
      store -> verify -> checksummed lookup path";
   let run =
     match Workload.record w with
@@ -593,7 +593,7 @@ let run_robustness (w : Ebp_workloads.Workload.t) =
     | Error msg -> failwith ("robustness bench: " ^ msg)
   in
   let trace = run.Workload.trace in
-  let encoded = Trace.encode trace in
+  let encoded = Trace.encode_columnar trace in
   let mb = float_of_int (String.length encoded) /. 1048576.0 in
   let reps = 20 in
   let crc = ref 0 in
@@ -1156,8 +1156,8 @@ let run_query traces =
 
 (* --- zero-copy store: mmap vs decode, parallel build, planner --- *)
 
-(* Prices the EBPT3 tier end to end: a warm load through the mmap'd
-   columnar sidecar vs a warm EBPT2 decode (time and allocation — the
+(* Prices the EBPT3 cache entry end to end: a warm load through the
+   mmap vs a full decode of the same entry (time and allocation — the
    mapped load must be near-allocation-free), the chunked index build vs
    the serial one (asserted structurally identical), and the cost-based
    planner against both fixed engines (asserted bit-identical). Cheap
@@ -1169,7 +1169,7 @@ let run_store traces =
   let module Replay = Ebp_sessions.Replay in
   let module Planner = Ebp_sessions.Planner in
   print_endline
-    "Zero-copy trace store (EBPT3): warm load via mmap vs EBPT2 decode,\n\
+    "Zero-copy trace store (EBPT3): warm load via mmap vs full decode,\n\
      serial vs chunked index build, and the cost-based planner vs both\n\
      fixed engines";
   let dir =
@@ -1213,11 +1213,17 @@ let run_store traces =
                (match Trace_cache.store ~dir ~key trace with
                | Ok () -> ()
                | Error msg -> failwith ("store bench: " ^ msg));
+               (* The full-decode baseline: read the same entry and run
+                  the fully-checked EBPT3 decoder (CRC included) over it. *)
+               let entry = Filename.concat dir (key ^ ".trace") in
                let decoded, decode_ms, decode_alloc =
                  timed_alloc (fun () ->
-                     match Trace_cache.lookup_decoded ~dir ~key with
-                     | Some (t, _) -> t
-                     | None -> failwith "store bench: decoded lookup missed")
+                     match
+                       Trace.decode_columnar
+                         (In_channel.with_open_bin entry In_channel.input_all)
+                     with
+                     | Ok (t, _) -> t
+                     | Error msg -> failwith ("store bench: decode: " ^ msg))
                in
                let mapped, map_ms, map_alloc =
                  timed_alloc (fun () ->

@@ -751,7 +751,6 @@ let cache_cmd =
   let kind_name = function
     | Ebp_trace.Trace_cache.Trace_entry -> "trace"
     | Ebp_trace.Trace_cache.Index_entry -> "index"
-    | Ebp_trace.Trace_cache.Columnar_entry -> "columnar"
     | Ebp_trace.Trace_cache.Checkpoint_entry -> "checkpoint"
     | Ebp_trace.Trace_cache.Tmp_entry -> "tmp"
     | Ebp_trace.Trace_cache.Corrupt_entry -> "corrupt"
@@ -787,7 +786,7 @@ let cache_cmd =
           (Ebp_util.Text_table.render ~header:[ "kind"; "bytes"; "file" ] ~rows
              ());
       (* Per-kind breakdown in a fixed order (skipping absent kinds), so
-         the columnar sidecars' disk cost is visible at a glance. *)
+         what each artifact type costs on disk is visible at a glance. *)
       List.iter
         (fun kind ->
           let n, bytes =
@@ -804,7 +803,7 @@ let cache_cmd =
         [
           Ebp_trace.Trace_cache.Trace_entry;
           Ebp_trace.Trace_cache.Index_entry;
-          Ebp_trace.Trace_cache.Columnar_entry;
+          Ebp_trace.Trace_cache.Checkpoint_entry;
           Ebp_trace.Trace_cache.Tmp_entry;
           Ebp_trace.Trace_cache.Corrupt_entry;
         ];

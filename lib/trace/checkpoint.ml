@@ -194,11 +194,21 @@ let codec_version = "EBPK1"
 let encode t =
   codec_version ^ Marshal.to_string (List.rev t.entries_rev, t.skipped) []
 
-let decode s =
+let decode ?len s =
+  let len = Option.value len ~default:(String.length s) in
+  if len < 0 || len > String.length s then
+    invalid_arg "Checkpoint.decode: bad length";
   let n = String.length codec_version in
-  if String.length s < n || String.sub s 0 n <> codec_version then
+  if len < n || String.sub s 0 n <> codec_version then
     Error "checkpoint chain: bad magic"
   else
-    match (Marshal.from_string s n : entry list * int) with
+    (* The marshalled chain must fill [len] exactly: that is what lets a
+       sealed cache image decode in place, trailer and all. *)
+    match
+      if len - n < Marshal.header_size
+         || n + Marshal.total_size (Bytes.unsafe_of_string s) n <> len
+      then raise Exit;
+      (Marshal.from_string s n : entry list * int)
+    with
     | entries, skipped -> Ok { entries_rev = List.rev entries; skipped }
     | exception _ -> Error "checkpoint chain: malformed"

@@ -98,4 +98,7 @@ val encode : t -> string
 (** Serialize the chain (plain-data snapshots; no closures). Seal with
     {!Trace_cache} for storage — see [store_checkpoints]. *)
 
-val decode : string -> (t, string) result
+val decode : ?len:int -> string -> (t, string) result
+(** Inverse of {!encode}, over the first [len] bytes of the string
+    (default: all of it), which the chain must fill exactly.
+    @raise Invalid_argument if [len] is outside the string. *)

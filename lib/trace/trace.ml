@@ -504,8 +504,9 @@ let read_binary ic = decode (In_channel.input_all ic)
    no per-event decode, no OCaml-heap allocation proportional to the
    trace, and the page cache shares one physical copy across every
    domain and every process that maps it. The price is size (32 B/event
-   against EBPT2's ~5) — EBPT3 files are cache sidecars of the compact
-   canonical entry, never the only copy.
+   against EBPT2's ~5), which the trace cache pays: its one entry per
+   trace is this image. EBPT2 remains the exchange format of
+   [ebp trace -o] / [--from-trace].
 
      bytes 0-7    magic "EBPT3\0\0\0"
      bytes 8-71   8 header words (8-byte LE):
@@ -721,9 +722,13 @@ let encode_columnar ?(meta = "") t =
   let meta_len = String.length meta in
   let sums, install_lo, install_hi = compute_summaries t in
   let nblocks = Array.length sums / 4 in
-  let data_off = align8 (columnar_header_len + meta_len + objs_len) in
+  let objs_end = columnar_header_len + meta_len + objs_len in
+  let data_off = align8 objs_end in
   let body_len = data_off + ((Array.length sums + (4 * count)) * 8) in
-  let buf = Bytes.make (body_len + columnar_trailer_len) '\x00' in
+  (* One exact-size allocation, every byte written once: the header,
+     the alignment padding, the summaries and columns, then the trailer
+     sealing it in place. *)
+  let buf = Bytes.create (body_len + columnar_trailer_len) in
   Bytes.blit_string columnar_magic 0 buf 0 8;
   let set_word pos v = Bytes.set_int64_le buf pos (Int64.of_int v) in
   List.iteri
@@ -732,19 +737,19 @@ let encode_columnar ?(meta = "") t =
       install_lo; install_hi ];
   Bytes.blit_string meta 0 buf columnar_header_len meta_len;
   Bytes.blit_string objs_blob 0 buf (columnar_header_len + meta_len) objs_len;
+  Bytes.fill buf objs_end (data_off - objs_end) '\x00';
   Array.iteri (fun i v -> set_word (data_off + (8 * i)) v) sums;
   let cols_off = data_off + (Array.length sums * 8) in
   for j = 0 to 3 do
     let get = column_getter t j in
     let base = cols_off + (j * count * 8) in
     for i = 0 to count - 1 do
-      Bytes.set_int64_le buf (base + (8 * i)) (Int64.of_int (get i))
+      set_word (base + (8 * i)) (get i)
     done
   done;
-  let body = Bytes.unsafe_to_string buf in
   Bytes.blit_string columnar_trailer_magic 0 buf body_len 4;
-  Bytes.set_int64_le buf (body_len + 4)
-    (Int64.of_int (Ebp_util.Crc32.sub body ~pos:0 ~len:body_len));
+  set_word (body_len + 4)
+    (Ebp_util.Crc32.sub (Bytes.unsafe_to_string buf) ~pos:0 ~len:body_len);
   Metrics.add m_columnar_out (Bytes.length buf);
   Bytes.unsafe_to_string buf
 
@@ -861,19 +866,25 @@ let really_read fd buf =
    with Unix.Unix_error _ -> raise (Malformed "unreadable columnar trace"));
   Bytes.unsafe_to_string buf
 
-let map_columnar ?(verify = false) path =
+(* The whole file in one exact-size read (no growth-and-copy). *)
+let read_file path =
+  In_channel.with_open_bin path (fun ic ->
+      really_input_string ic (Int64.to_int (In_channel.length ic)))
+
+let map_columnar ?(verify = false) ?(mangle = Fun.id) path =
   Obs_span.with_span "codec.map" @@ fun () ->
   (* Raises [Fault.Injected] (a transient, retryable miss — the cache
-     falls back to the decoded entry without quarantining) rather than
-     returning [Error], which means "this file is bad". *)
+     reads it as a miss without quarantining) rather than returning
+     [Error], which means "this file is bad". *)
   Ebp_util.Fault.check p_map;
   if verify then
     (* The slow, fully-checked load: everything [decode_columnar]
        rejects, this rejects. Used under fault injection, where mangled
        bytes are the point. *)
-    match In_channel.with_open_bin path In_channel.input_all with
-    | exception Sys_error msg -> Error msg
-    | s -> decode_columnar s
+    match read_file path with
+    | exception (Sys_error msg) -> Error msg
+    | exception End_of_file -> Error "columnar trace shrank while read"
+    | s -> decode_columnar (mangle s)
   else
     match
       let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in

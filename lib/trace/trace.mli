@@ -147,9 +147,9 @@ val to_text : t -> string
 val of_text : string -> (t, string) result
 
 val codec_version : string
-(** Magic/version tag of the binary codec ("EBPT2"). {!Trace_cache}
-    hashes it into every key, so bumping it orphans old cache entries
-    instead of misreading them. *)
+(** Magic/version tag of the binary codec ("EBPT2"), the compact
+    exchange format of [ebp trace -o] and [--from-trace]. The trace cache
+    stores EBPT3 instead (see {!columnar_version}). *)
 
 val encode : t -> string
 (** Serialize to the compact binary format: struct-of-arrays columns with
@@ -180,14 +180,15 @@ val read_binary : in_channel -> (t, string) result
     [docs/PERFORMANCE.md]. *)
 
 val columnar_version : string
-(** Magic/version tag of the columnar codec ("EBPT3"); cache keys hash it
-    alongside {!codec_version}. *)
+(** Magic/version tag of the columnar codec ("EBPT3"); {!Trace_cache}
+    hashes it into every key, so bumping it orphans old cache entries
+    instead of misreading them. *)
 
 val encode_columnar : ?meta:string -> t -> string
 (** Serialize to a complete, self-sealed EBPT3 file image (header,
-    [meta], object table, block summaries, columns, CRC trailer). Larger
-    than {!encode} (32 B/event) — it buys load time with disk, so it is
-    written as a cache {e sidecar}, never the canonical copy. *)
+    [meta], object table, block summaries, columns, CRC trailer), built
+    in one exact-size allocation. Larger than {!encode} (32 B/event) — it
+    buys load time with disk; {!Trace_cache} stores it as the entry. *)
 
 val decode_columnar : string -> (t * string, string) result
 (** Fully-checked inverse of {!encode_columnar}: verifies the CRC, every
@@ -196,14 +197,17 @@ val decode_columnar : string -> (t * string, string) result
     heap trace plus the embedded [meta]. This is the verification path
     ([ebp cache verify], the fuzzer's columnar oracle). *)
 
-val map_columnar : ?verify:bool -> string -> (t * string, string) result
+val map_columnar :
+  ?verify:bool -> ?mangle:(string -> string) -> string ->
+  (t * string, string) result
 (** Map the EBPT3 file at [path] and return a trace reading its columns
     in place. Validates the header, object table, exact file length,
     trailer magic, and the whole w0 column (tags/object ids) — but not
     the payload CRC, whose cost would rival the decode being avoided;
-    run [ebp cache verify] (or pass [~verify:true], which loads through
-    {!decode_columnar}) for full integrity checking. Any validation
-    failure or I/O error is [Error]; callers fall back to the EBPT2
-    entry. Under fault injection the [trace.codec.map] point may raise
-    {!Ebp_util.Fault.Injected} — a transient miss, distinct from a bad
-    file. *)
+    run [ebp cache verify] (or pass [~verify:true], which reads the file
+    and loads it through {!decode_columnar}, passing the bytes read
+    through [mangle] first — the cache's read fault point) for full
+    integrity checking. Any validation failure or I/O error is [Error].
+    Under fault injection the [trace.codec.map] point (and [mangle]) may
+    raise {!Ebp_util.Fault.Injected} — a transient miss, distinct from a
+    bad file. *)

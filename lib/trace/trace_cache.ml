@@ -1,28 +1,23 @@
-(* Entry layout: a sealed body plus a 12-byte integrity trailer.
+(* One file per artifact, each a sealed image:
 
-     body    = magic, 8-byte LE meta length, meta bytes, Trace.encode payload
-     trailer = "EBPZ", 8-byte LE CRC-32 of body
+     <key>.trace          the EBPT3 columnar trace (Trace.encode_columnar),
+                          caller meta in its header, self-sealed
+     <key>.<ikey>.widx    a Write_index.encode body, sealed below
+     <key>.<ckey>.ckpt    a Checkpoint.encode body, sealed below
 
-   (Index entries seal a Write_index.encode body the same way.) The CRC
-   is verified before any decoding, so truncation and bit flips are
+   A seal is a 12-byte trailer, "EBPZ" plus the 8-byte LE CRC-32 of every
+   byte before it — the same trailer EBPT3 carries — written into a slot
+   the encoder reserved, so sealing never copies the image. The CRC is
+   checked before anything is decoded, so truncation and bit flips are
    detected up front instead of surfacing as decoder errors — or worse,
    silently decoding to different events. A failed check quarantines the
    file (renamed [*.corrupt], counted, surfaced through the quarantine
    hook) and reads as a miss, so the caller transparently re-records.
 
-   The version string below is hashed into every key and includes the
-   trace codec version, so a format change (like the v2 -> v3 trailer
-   addition) silently orphans old entries instead of misreading them. *)
-
-(* v4: the trace key also owns two sidecar artifact families — the EBPT3
-   columnar image ([<key>.ebpt3], self-sealed, loaded by mmap) and the
-   write index ([<key>.<ikey>.widx], key-prefixed so GC can associate it
-   with its trace). Including the columnar codec version here orphans
-   every v3-era entry, including old bare [<ikey>.widx] files, which the
-   orphan sweep in {!gc} then reclaims. *)
-let version =
-  "ebp-trace-cache-v4:" ^ Trace.codec_version ^ "+" ^ Trace.columnar_version
-let magic = "EBPC3"
+   The version string below is hashed into every key and names the trace
+   codec, so a format change silently orphans old entries instead of
+   misreading them. *)
+let version = "ebp-trace-cache-v5:" ^ Trace.columnar_version
 let trailer_magic = "EBPZ"
 let trailer_len = 12
 
@@ -31,13 +26,14 @@ module Span = Ebp_obs.Span
 module Fault = Ebp_util.Fault
 module Crc32 = Ebp_util.Crc32
 
-(* Cache observability: hit/miss counters and latency histograms for both
-   entry kinds, byte traffic, corruption/retry accounting, and what
-   garbage collection reclaimed. All updates are no-ops (one branch)
-   until Metrics.set_enabled. *)
+(* Cache observability: hit/miss counters and latency histograms for every
+   entry kind, byte traffic, corruption/retry accounting, and what garbage
+   collection reclaimed. All updates are no-ops (one branch) until
+   Metrics.set_enabled. The spans [cache.store], [cache.store_index],
+   [cache.lookup], [cache.lookup_index] and [cache.crc] put the same
+   operations on the --trace-events timeline. *)
 let m_hits = Metrics.counter "trace_cache.hits"
 let m_misses = Metrics.counter "trace_cache.misses"
-let m_mapped_hits = Metrics.counter "trace_cache.mapped_hits"
 let m_index_hits = Metrics.counter "trace_cache.index_hits"
 let m_index_misses = Metrics.counter "trace_cache.index_misses"
 let m_ckpt_hits = Metrics.counter "trace_cache.checkpoint_hits"
@@ -64,7 +60,8 @@ let p_kill_write = Fault.point "trace_cache.store.kill_write"
 let p_kill_rename = Fault.point "trace_cache.store.kill_rename"
 let p_lookup_data = Fault.point "trace_cache.lookup.data"
 
-let timed hist f =
+let timed span hist f =
+  Span.with_span span @@ fun () ->
   if not (Metrics.is_enabled ()) then f ()
   else begin
     let started_ns = Span.now_ns () in
@@ -92,7 +89,6 @@ let make_key ~name ~source ~seed ?fuel () =
             string_of_int seed; fuel ]))
 
 let entry_path ~dir ~key = Filename.concat dir (key ^ ".trace")
-let columnar_path ~dir ~key = Filename.concat dir (key ^ ".ebpt3")
 
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
@@ -102,12 +98,25 @@ let rec mkdir_p dir =
 
 (* --- sealing --- *)
 
-let seal body =
-  let t = Bytes.create trailer_len in
-  Bytes.blit_string trailer_magic 0 t 0 4;
-  Bytes.set_int64_le t 4 (Int64.of_int (Crc32.string body));
-  body ^ Bytes.unsafe_to_string t
+(* Seal [b] in place: its last [trailer_len] bytes are the reserved slot,
+   everything before them the body. *)
+let seal b =
+  let body_len = Bytes.length b - trailer_len in
+  Bytes.blit_string trailer_magic 0 b body_len 4;
+  let crc =
+    Span.with_span "cache.crc" @@ fun () ->
+    Crc32.sub (Bytes.unsafe_to_string b) ~pos:0 ~len:body_len
+  in
+  Bytes.set_int64_le b (body_len + 4) (Int64.of_int crc);
+  Bytes.unsafe_to_string b
 
+(* Seal a body the encoder could not reserve a slot in: one copy. *)
+let seal_string body =
+  let b = Bytes.create (String.length body + trailer_len) in
+  Bytes.blit_string body 0 b 0 (String.length body);
+  seal b
+
+(* The length of the verified body, which the decoders read in place. *)
 let unseal data =
   let n = String.length data in
   if n < trailer_len then Error "entry shorter than its checksum trailer"
@@ -118,34 +127,18 @@ let unseal data =
     (* Compare all 8 stored bytes: a CRC-32 occupies the low 4, so the
        high 4 must be zero — masking them off would let flips there pass. *)
     let stored = String.get_int64_le data (n - 8) in
-    if stored <> Int64.of_int (Crc32.sub data ~pos:0 ~len:body_len) then
-      Error "checksum mismatch"
-    else Ok (String.sub data 0 body_len)
-
-let parse_entry body =
-  let hdr = String.length magic + 8 in
-  if String.length body < hdr then Error "entry header truncated"
-  else if String.sub body 0 (String.length magic) <> magic then
-    Error "bad entry magic"
-  else
-    let mlen = Int64.to_int (String.get_int64_le body (String.length magic)) in
-    (* A corrupt meta length must never size an allocation: clamp it
-       against the bytes actually present and report a miss. *)
-    if mlen < 0 || mlen > String.length body - hdr then
-      Error "meta length out of bounds"
-    else
-      let meta = String.sub body hdr mlen in
-      Result.map
-        (fun trace -> (trace, meta))
-        (Trace.decode
-           (String.sub body (hdr + mlen) (String.length body - hdr - mlen)))
+    let crc =
+      Span.with_span "cache.crc" @@ fun () -> Crc32.sub data ~pos:0 ~len:body_len
+    in
+    if stored <> Int64.of_int crc then Error "checksum mismatch"
+    else Ok body_len
 
 (* --- quarantine --- *)
 
 let quarantine_log = ref (fun ~file:_ ~reason:_ -> ())
 let set_quarantine_log f = quarantine_log := f
 
-let quarantine ~dir ~file ~reason =
+let quarantine_entry ~dir ~file ~reason =
   Metrics.incr m_quarantined;
   (try
      Sys.rename (Filename.concat dir file) (Filename.concat dir (file ^ ".corrupt"))
@@ -215,39 +208,12 @@ let store_file ~dir ~path data =
   in
   attempt 0
 
-let entry_bytes_of ~meta trace =
-  let payload = Trace.encode trace in
-  let buf =
-    Buffer.create (String.length magic + 8 + String.length meta
-                   + String.length payload + trailer_len)
-  in
-  Buffer.add_string buf magic;
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 (Int64.of_int (String.length meta));
-  Buffer.add_bytes buf b;
-  Buffer.add_string buf meta;
-  Buffer.add_string buf payload;
-  seal (Buffer.contents buf)
-
-(* The compact EBPT2 entry is canonical and written first — the crash
-   fault points fire during its protocol, so a simulated kill leaves the
-   cache exactly as sparse as before sidecars existed. The columnar
-   sidecar is pure acceleration: its store is best-effort (a cache with
-   only the canonical entry is merely slower), but a [Killed] still
-   propagates — a simulated crash is a crash wherever it lands. *)
+(* The EBPT3 image seals itself; the crash fault points fire during its
+   write like any other entry's. *)
 let store ~dir ~key ?(meta = "") trace =
-  timed m_store_ns @@ fun () ->
-  match store_file ~dir ~path:(entry_path ~dir ~key) (entry_bytes_of ~meta trace)
-  with
-  | Error _ as e -> e
-  | Ok () ->
-      (match
-         store_file ~dir
-           ~path:(columnar_path ~dir ~key)
-           (Trace.encode_columnar ~meta trace)
-       with
-      | Ok () | Error _ -> ());
-      Ok ()
+  timed "cache.store" m_store_ns @@ fun () ->
+  store_file ~dir ~path:(entry_path ~dir ~key)
+    (Trace.encode_columnar ~meta trace)
 
 let index_key ~key ~page_sizes =
   Digest.to_hex
@@ -266,10 +232,10 @@ let index_cached ~dir ~key ~page_sizes =
   Sys.file_exists (index_path ~dir ~key ~page_sizes)
 
 let store_index ~dir ~key ~page_sizes index =
-  timed m_store_ns @@ fun () ->
+  timed "cache.store_index" m_store_ns @@ fun () ->
   store_file ~dir
     ~path:(index_path ~dir ~key ~page_sizes)
-    (seal (Write_index.encode index))
+    (seal (Write_index.to_bytes ~reserve:trailer_len index))
 
 (* Checkpoint chains are keyed like indices: [<key>.<ckey>.ckpt], with
    [ckey] rehashing the trace key and the checkpoint codec version, and
@@ -287,24 +253,30 @@ let checkpoint_path ~dir ~key =
 let checkpoint_cached ~dir ~key = Sys.file_exists (checkpoint_path ~dir ~key)
 
 let store_checkpoints ~dir ~key chain =
-  timed m_store_ns @@ fun () ->
+  timed "cache.store_checkpoints" m_store_ns @@ fun () ->
   store_file ~dir ~path:(checkpoint_path ~dir ~key)
-    (seal (Checkpoint.encode chain))
+    (seal_string (Checkpoint.encode chain))
 
 (* --- lookups --- *)
 
+(* The whole file in one exact-size read; [None] when it is absent,
+   unreadable, or shrinks under us. *)
 let read_file path =
-  match In_channel.with_open_bin path In_channel.input_all with
+  match
+    In_channel.with_open_bin path (fun ic ->
+        really_input_string ic (Int64.to_int (In_channel.length ic)))
+  with
   | data -> Some data
-  | exception Sys_error _ -> None
+  | exception (Sys_error _ | End_of_file) -> None
 
-(* Shared load path: read the whole file, pass it through the lookup
-   fault point, verify the trailer, then parse. An absent or unreadable
-   file is a plain miss; an injected transient read fault is a miss that
-   leaves the (possibly fine) entry alone; a failed integrity check or
-   parse quarantines the file and falls back to a miss, which makes the
-   caller re-record. *)
-let load_entry ~dir ~file parse =
+(* Load path of the sealed entries: read the whole file, pass it through
+   the lookup fault point, verify the trailer, then decode the body in
+   place. An absent or unreadable file is a plain miss; an injected
+   transient read fault is a miss that leaves the (possibly fine) entry
+   alone; a failed integrity check or decode quarantines the file and
+   falls back to a miss, which makes the caller re-record. *)
+let load_entry ~dir ~file (decode : ?len:int -> string -> ('a, string) result)
+    =
   match read_file (Filename.concat dir file) with
   | None -> None
   | Some data -> (
@@ -312,59 +284,52 @@ let load_entry ~dir ~file parse =
       | exception Fault.Injected _ -> None
       | data -> (
           Metrics.add m_bytes_read (String.length data);
-          match Result.bind (unseal data) parse with
+          match Result.bind (unseal data) (fun len -> decode ~len data) with
           | Ok v -> Some v
           | Error reason ->
-              quarantine ~dir ~file ~reason;
+              quarantine_entry ~dir ~file ~reason;
               None))
 
-let lookup_decoded ~dir ~key =
-  timed m_lookup_ns @@ fun () ->
-  let found = load_entry ~dir ~file:(key ^ ".trace") parse_entry in
-  Metrics.incr (match found with Some _ -> m_hits | None -> m_misses);
-  found
-
-(* The mapped tier: try to mmap the EBPT3 sidecar before paying for a
-   decode of the canonical entry. Under fault injection the mapping
-   verifies the full checksum (injected corruption targets exactly the
-   bytes the fast path trusts); a bad sidecar is quarantined and the
-   decoded path takes over, so the tier can only ever cost a fallback,
-   never an answer. *)
-let lookup_mapped ~dir ~key =
-  let file = key ^ ".ebpt3" in
-  if not (Sys.file_exists (Filename.concat dir file)) then None
-  else
-    match
-      Trace.map_columnar ~verify:(Fault.active ())
-        (Filename.concat dir file)
-    with
-    | exception Fault.Injected _ -> None
-    | Ok (trace, meta) ->
-        Metrics.incr m_mapped_hits;
-        Some (trace, meta)
-    | Error reason ->
-        quarantine ~dir ~file ~reason;
-        None
-
+(* A trace entry is mapped, not read: the mmap fast path validates its
+   structure but trusts the payload CRC (see Trace.map_columnar). Under
+   fault injection — exactly when bytes get mangled in flight — the load
+   reads the file through the lookup fault point and verifies everything,
+   CRC included. Any failure is a miss: an injected transient one leaves
+   the file alone, a damaged or unmappable entry is quarantined first. *)
 let lookup ~dir ~key =
-  timed m_lookup_ns @@ fun () ->
+  timed "cache.lookup" m_lookup_ns @@ fun () ->
+  let file = key ^ ".trace" in
+  let path = Filename.concat dir file in
   let found =
-    match lookup_mapped ~dir ~key with
-    | Some _ as hit -> hit
-    | None -> load_entry ~dir ~file:(key ^ ".trace") parse_entry
+    if not (Sys.file_exists path) then None
+    else
+      let verify = Fault.active () in
+      match
+        Trace.map_columnar ~verify
+          ~mangle:(fun data ->
+            let data = Fault.mangle p_lookup_data data in
+            Metrics.add m_bytes_read (String.length data);
+            data)
+          path
+      with
+      | exception Fault.Injected _ -> None
+      | Ok hit -> Some hit
+      | Error reason ->
+          quarantine_entry ~dir ~file ~reason;
+          None
   in
   Metrics.incr (match found with Some _ -> m_hits | None -> m_misses);
   found
 
 let lookup_index ~dir ~key ~page_sizes =
-  timed m_lookup_ns @@ fun () ->
+  timed "cache.lookup_index" m_lookup_ns @@ fun () ->
   let file = Filename.basename (index_path ~dir ~key ~page_sizes) in
   let found = load_entry ~dir ~file Write_index.decode in
   Metrics.incr (match found with Some _ -> m_index_hits | None -> m_index_misses);
   found
 
 let lookup_checkpoints ~dir ~key =
-  timed m_lookup_ns @@ fun () ->
+  timed "cache.lookup_checkpoints" m_lookup_ns @@ fun () ->
   let file = Filename.basename (checkpoint_path ~dir ~key) in
   let found = load_entry ~dir ~file Checkpoint.decode in
   Metrics.incr (match found with Some _ -> m_ckpt_hits | None -> m_ckpt_misses);
@@ -379,7 +344,6 @@ let lookup_checkpoints ~dir ~key =
 type entry_kind =
   | Trace_entry
   | Index_entry
-  | Columnar_entry
   | Checkpoint_entry
   | Tmp_entry
   | Corrupt_entry
@@ -397,20 +361,19 @@ let classify file =
   if Filename.check_suffix file ".corrupt" then Some Corrupt_entry
   else if Filename.check_suffix file ".trace" then Some Trace_entry
   else if Filename.check_suffix file ".widx" then Some Index_entry
-  else if Filename.check_suffix file ".ebpt3" then Some Columnar_entry
   else if Filename.check_suffix file ".ckpt" then Some Checkpoint_entry
   else if Filename.check_suffix file ".tmp" && String.length file > 0
           && file.[0] = '.' then Some Tmp_entry
   else None
 
-(* The trace key a sidecar belongs to. Traces own themselves; new-style
-   index names are [<key>.<ikey>.widx], so the key is the leading dot
-   component — which also classifies a pre-v4 bare [<ikey>.widx] as
-   owned by a key that has no trace, i.e. an orphan. *)
+(* The trace key an entry belongs to. Traces own themselves; index and
+   checkpoint names are [<key>.<ikey>.widx] / [<key>.<ckey>.ckpt], so the
+   key is the leading dot component — which also classifies a pre-v4
+   bare [<ikey>.widx] as owned by a key that has no trace, i.e. an
+   orphan. *)
 let owner_key e =
   match e.entry_kind with
   | Trace_entry -> Some (Filename.chop_suffix e.entry_file ".trace")
-  | Columnar_entry -> Some (Filename.chop_suffix e.entry_file ".ebpt3")
   | Index_entry | Checkpoint_entry -> (
       match String.index_opt e.entry_file '.' with
       | Some i -> Some (String.sub e.entry_file 0 i)
@@ -469,8 +432,8 @@ let gc ~dir ~max_bytes =
       (fun e -> e.entry_kind = Tmp_entry || e.entry_kind = Corrupt_entry)
       (entries ~dir)
   in
-  (* A sidecar (.widx, .ebpt3) whose owning trace entry is gone — deleted
-     by hand, evicted by an older GC, or stranded by the v4 renaming — is
+  (* An index or checkpoint whose owning trace entry is gone — deleted by
+     hand, evicted by an older GC, or stranded by a key-version bump — is
      dead weight no lookup will ever reach: reclaim it with the litter. *)
   let trace_keys = Hashtbl.create 64 in
   List.iter
@@ -495,11 +458,12 @@ let gc ~dir ~max_bytes =
     if remove_entry ~dir e then (n + 1, b + e.entry_bytes) else acc
   in
   let acc = List.fold_left drop (0, 0) (litter @ orphans) in
-  (* Evict whole ownership groups (trace + its sidecars), coldest trace
-     first — [live] is oldest-mtime-first and every survivor has an owner
-     in [trace_keys], so walking it and deleting each entry's entire
-     group on first contact preserves the old coldest-first order while
-     never leaving a freshly-orphaned sidecar behind. *)
+  (* Evict whole ownership groups (a trace with its indexes and
+     checkpoints), coldest trace first — [live] is oldest-mtime-first and
+     every survivor has an owner in [trace_keys], so walking it and
+     deleting each entry's entire group on first contact preserves the
+     coldest-first order while never leaving a freshly-orphaned entry
+     behind. *)
   let group_of key =
     List.filter (fun e -> owner_key e = Some key) live
   in
@@ -536,17 +500,6 @@ type verify_report = {
 }
 
 let verify ?(quarantine = true) ~dir () =
-  let quarantine_one ~file ~reason =
-    if quarantine then
-      (* Reuse the lookup path's quarantine so the counter and hook see
-         scans and lookups alike. *)
-      (Metrics.incr m_quarantined;
-       (try
-          Sys.rename (Filename.concat dir file)
-            (Filename.concat dir (file ^ ".corrupt"))
-        with Sys_error _ -> ());
-       !quarantine_log ~file ~reason)
-  in
   let checked = ref 0 and intact = ref 0 and tmp_litter = ref 0 in
   let corrupt = ref [] in
   List.iter
@@ -554,33 +507,31 @@ let verify ?(quarantine = true) ~dir () =
       match e.entry_kind with
       | Tmp_entry -> incr tmp_litter
       | Corrupt_entry -> ()
-      | Trace_entry | Index_entry | Columnar_entry | Checkpoint_entry -> (
+      | Trace_entry | Index_entry | Checkpoint_entry -> (
           incr checked;
+          let sealed decode data =
+            Result.bind (unseal data) (fun len ->
+                Result.map ignore (decode ?len:(Some len) data))
+          in
           let result =
             match read_file (Filename.concat dir e.entry_file) with
             | None -> Error "unreadable"
             | Some data -> (
-                (* EBPT3 files are self-sealed: the decoder verifies its
-                   own CRC trailer (and more — the mmap fast path trusts
-                   it, so this is where a damaged sidecar gets caught). *)
                 match e.entry_kind with
-                | Columnar_entry ->
-                    Result.map ignore (Trace.decode_columnar data)
+                (* EBPT3 seals itself: the full decoder checks its CRC and
+                   everything the mmap fast path trusts, so this is where
+                   damage the mapped load would miss gets caught. *)
                 | Trace_entry ->
-                    Result.bind (unseal data) (fun body ->
-                        Result.map ignore (parse_entry body))
-                | Checkpoint_entry ->
-                    Result.bind (unseal data) (fun body ->
-                        Result.map ignore (Checkpoint.decode body))
-                | _ ->
-                    Result.bind (unseal data) (fun body ->
-                        Result.map ignore (Write_index.decode body)))
+                    Result.map ignore (Trace.decode_columnar data)
+                | Checkpoint_entry -> sealed Checkpoint.decode data
+                | _ -> sealed Write_index.decode data)
           in
           match result with
           | Ok () -> incr intact
           | Error reason ->
               corrupt := (e.entry_file, reason) :: !corrupt;
-              quarantine_one ~file:e.entry_file ~reason))
+              if quarantine then
+                quarantine_entry ~dir ~file:e.entry_file ~reason))
     (entries ~dir);
   {
     checked = !checked;

@@ -9,47 +9,44 @@
 
     {2 Key scheme}
 
-    {!make_key} hashes the tuple (codec version, program name, source
+    {!make_key} hashes the tuple (cache version, program name, source
     digest, seed, fuel) into a hex string:
 
-    {[ MD5 ("ebp-trace-cache-v4:EBPT2+EBPT3" ^ name ^ MD5 (source) ^ seed ^ fuel) ]}
+    {[ MD5 ("ebp-trace-cache-v5:EBPT3" ^ name ^ MD5 (source) ^ seed ^ fuel) ]}
 
     Any input that could change the recorded events changes the key, so a
     stale entry can never be returned for modified source — entries need no
     invalidation, only garbage collection. The codec version is part of the
-    hash: a change to the binary trace format (or to the entry format
-    itself, as the v2 → v3 trailer addition was) bumps the constant and
-    orphans (rather than misparses) old entries.
+    hash: a change to the trace format or to the entry layout bumps the
+    constant and orphans (rather than misparses) old entries. v5 made the
+    EBPT3 image the only file per trace; v4 entries (an EBPT2 [.trace]
+    plus an [.ebpt3] sidecar) are never looked up again — the GC evicts
+    their [.trace] files by age, and leftover [.ebpt3] files are not
+    cache entries any more (delete them by hand).
 
     {2 Storage and integrity}
 
-    One file per entry, [<dir>/<key>.trace]: a magic string, a small
-    length-prefixed metadata string supplied by the caller (the experiment
-    stores the base execution time there), then the {!Trace.encode}
-    payload — all sealed under a 12-byte trailer (["EBPZ"] plus the 8-byte
-    LE CRC-32 of everything before it). Writes go to a temporary file in
-    the same directory and are renamed into place, so a reader never
-    observes a partial entry and concurrent producers of the same key race
-    benignly; transient [Sys_error]s during a store are retried with
-    exponential backoff (counted in [trace_cache.store_retries]).
+    One file per trace, [<dir>/<key>.trace]: the {!Trace.encode_columnar}
+    image, with the caller's metadata string (the experiment stores the
+    base execution time there) in its header, sealed by its own 12-byte
+    trailer (["EBPZ"] plus the 8-byte LE CRC-32 of everything before
+    it). Writes go to a temporary file in the same directory and are
+    renamed into place, so a reader never observes a partial entry and
+    concurrent producers of the same key race benignly; transient
+    [Sys_error]s during a store are retried with exponential backoff
+    (counted in [trace_cache.store_retries]).
 
-    The trailer is verified {e before} any decoding, so truncation and bit
-    flips on disk are caught up front. A corrupt entry is quarantined —
-    renamed [<file>.corrupt], counted in [trace_cache.quarantined],
-    surfaced through {!set_quarantine_log} — and reported as a miss, never
-    an error, so the caller transparently re-records. An unreadable file
-    or directory is a plain miss.
-
-    {2 The mapped tier}
-
-    Next to each canonical entry, {!store} writes a best-effort
-    [<key>.ebpt3] sidecar: the same trace in the {!Trace.map_columnar}
-    zero-copy columnar layout. {!lookup} maps the sidecar when present
-    (counted in [trace_cache.mapped_hits]) and only decodes the EBPT2
-    entry when it is absent, damaged (quarantined like any entry), or a
-    fault is injected at [trace.codec.map]. Sidecars are disposable
-    acceleration: deleting one costs a slower next load, nothing else,
-    and {!gc} reclaims any left orphaned by a vanished trace. *)
+    {!lookup} maps the entry ({!Trace.map_columnar}): the columns are
+    read in place, with no decode and no heap copy. The mapped load
+    validates the entry's structure but not its payload CRC; while fault
+    injection is active (when bytes get mangled in flight) it reads and
+    verifies the whole entry instead, and [ebp cache verify] checks the
+    CRC of every entry on demand. A corrupt or unmappable entry is
+    quarantined — renamed [<file>.corrupt], counted in
+    [trace_cache.quarantined], surfaced through {!set_quarantine_log} —
+    and reported as a miss, never an error, so the caller transparently
+    re-records. An unreadable file or directory, or a transient injected
+    fault, is a plain miss. *)
 
 val default_dir : unit -> string
 (** [$XDG_CACHE_HOME/ebp] when [XDG_CACHE_HOME] is set and absolute,
@@ -74,14 +71,8 @@ val store :
 val lookup : dir:string -> key:string -> (Trace.t * string) option
 (** [lookup ~dir ~key] is [Some (trace, meta)] when an entry for [key]
     exists and passes its integrity check, [None] otherwise (quarantining
-    the file first if it exists but is corrupt). Prefers the mapped
-    columnar sidecar (see the mapped tier above), so the returned trace
-    usually satisfies {!Trace.is_mapped}. *)
-
-val lookup_decoded : dir:string -> key:string -> (Trace.t * string) option
-(** {!lookup} restricted to the canonical EBPT2 entry — always a decoded
-    heap trace, never a mapping. For consumers that must not hold the
-    file open (and the benchmark's decode-vs-map comparison). *)
+    the file first if it exists but is corrupt). Outside fault injection
+    the returned trace is a mapping ({!Trace.is_mapped}). *)
 
 val set_quarantine_log : (file:string -> reason:string -> unit) -> unit
 (** Install the hook called (synchronously, possibly from a pool worker)
@@ -97,9 +88,11 @@ val set_quarantine_log : (file:string -> reason:string -> unit) -> unit
     pair, where [ikey] rehashes the trace key together with the index
     codec version and the page sizes, and the [<key>.] prefix ties the
     file to its trace for the GC's orphan sweep. A warm experiment run
-    thereby skips both phase-1 tracing {e and} the index build. The same
-    sealing, atomic temp-and-rename, retry, and quarantine-on-corruption
-    rules apply. *)
+    thereby skips both phase-1 tracing {e and} the index build. The body
+    is {!Write_index.to_bytes} with the 12-byte trailer slot reserved and
+    sealed in place; a lookup checks the CRC and decodes the body where
+    it was read. The same atomic temp-and-rename, retry, and
+    quarantine-on-corruption rules apply. *)
 
 val index_key : key:string -> page_sizes:int list -> string
 (** [index_key ~key ~page_sizes] derives the index entry's key from a
@@ -164,7 +157,6 @@ val checkpoint_cached : dir:string -> key:string -> bool
 type entry_kind =
   | Trace_entry  (** a [<key>.trace] phase-1 recording *)
   | Index_entry  (** a [<key>.<ikey>.widx] write index *)
-  | Columnar_entry  (** a [<key>.ebpt3] zero-copy columnar sidecar *)
   | Checkpoint_entry  (** a [<key>.<ckey>.ckpt] checkpoint chain *)
   | Tmp_entry    (** a [.<key>*.tmp] temp file orphaned by an interrupted
                      store *)
@@ -191,17 +183,17 @@ val clear : dir:string -> int * int
 val gc : dir:string -> max_bytes:int -> int * int
 (** [gc ~dir ~max_bytes] first deletes all temp files (an interrupted
     store's litter — harmless to a store in flight, which degrades to a
-    warning), quarantined corpses, and orphaned sidecars ([.widx] or
-    [.ebpt3] files whose owning [<key>.trace] is gone), then evicts live
-    entries oldest-mtime-first until the directory's cache-owned
-    footprint is at most [max_bytes] — evicting whole ownership groups
-    (a trace together with its sidecars) so it never mints new orphans.
+    warning), quarantined corpses, and orphans ([.widx] or [.ckpt]
+    files whose owning [<key>.trace] is gone), then evicts live entries
+    oldest-mtime-first until the directory's cache-owned footprint is at
+    most [max_bytes] — evicting whole ownership groups (a trace together
+    with its indexes and checkpoints) so it never mints new orphans.
     Returns [(removed, reclaimed_bytes)]. *)
 
 (** {2 Integrity scan} *)
 
 type verify_report = {
-  checked : int;  (** trace, index, and columnar entries examined *)
+  checked : int;  (** trace, index, and checkpoint entries examined *)
   intact : int;
   corrupt : (string * string) list;
       (** (file, reason), sorted by file name; already quarantined if
@@ -211,10 +203,10 @@ type verify_report = {
 
 val verify : ?quarantine:bool -> dir:string -> unit -> verify_report
 (** [verify ~dir ()] re-checks the trailer CRC and decodes every trace,
-    index, and columnar entry in [dir], quarantining the failures exactly
-    as a lookup would (pass [~quarantine:false] to only report).
-    Columnar sidecars get the {e full} {!Trace.decode_columnar} check —
+    index, and checkpoint entry in [dir], quarantining the failures
+    exactly as a lookup would (pass [~quarantine:false] to only report).
+    Trace entries get the {e full} {!Trace.decode_columnar} check —
     including the payload CRC the mmap fast path deliberately skips, so
-    this scan is the integrity backstop for the mapped tier.
+    this scan is the integrity backstop for mapped loads.
     Already-quarantined [*.corrupt] files are skipped. Drives
     [ebp cache verify]. *)

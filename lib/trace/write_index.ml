@@ -664,47 +664,67 @@ let equal (a : t) (b : t) = a = b
 
 (* 8-byte LE ints, whole structure built in (or parsed from) one string:
    the in-memory form is what Trace_cache seals under a CRC trailer, so
-   the codec never touches a channel except through thin wrappers. *)
+   the codec never touches a channel except through thin wrappers.
 
-let buf_int buf v =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 (Int64.of_int v);
-  Buffer.add_bytes buf b
+   [serialize] walks the structure once per pass: a sizing pass adds up
+   the bytes, then the writing pass fills one exact-size buffer — no
+   growth, no final copy, however large the index. *)
 
-let buf_array buf arr =
-  let n = Array.length arr in
-  let b = Bytes.create ((n + 1) * 8) in
-  Bytes.set_int64_le b 0 (Int64.of_int n);
-  for i = 0 to n - 1 do
-    Bytes.set_int64_le b ((i + 1) * 8) (Int64.of_int arr.(i))
-  done;
-  Buffer.add_bytes buf b
+(* Unchecked word access for the array loops, which bounds-check a whole
+   run up front: on these primitives the loops run about twice as fast
+   as through the stdlib's checked [get_int64_le]/[set_int64_le]. The
+   words are little-endian; a big-endian host swaps them. *)
+external get64u : string -> int -> int64 = "%caml_string_get64u"
+external set64u : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
+external swap64 : int64 -> int64 = "%bswap_int64"
 
-let buf_posting buf p =
-  buf_array buf p.keys;
-  buf_array buf p.offs;
-  buf_array buf p.data
-
-let encode t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf codec_version;
-  buf_int buf t.events;
-  buf_int buf t.total_writes;
-  buf_posting buf t.word_writes;
-  buf_posting buf t.word_spans;
-  buf_array buf t.wide_words;
-  buf_posting buf t.pc_writes;
-  buf_array buf t.obj_offs;
-  buf_array buf t.obj_data;
-  buf_int buf (Array.length t.pages);
+let serialize t ~int ~array =
+  let posting p =
+    array p.keys;
+    array p.offs;
+    array p.data
+  in
+  int t.events;
+  int t.total_writes;
+  posting t.word_writes;
+  posting t.word_spans;
+  array t.wide_words;
+  posting t.pc_writes;
+  array t.obj_offs;
+  array t.obj_data;
+  int (Array.length t.pages);
   Array.iter
     (fun v ->
-      buf_int buf v.page_size;
-      buf_posting buf v.page_writes;
-      buf_posting buf v.page_spans;
-      buf_array buf v.wide_pages)
-    t.pages;
-  Buffer.contents buf
+      int v.page_size;
+      posting v.page_writes;
+      posting v.page_spans;
+      array v.wide_pages)
+    t.pages
+
+let to_bytes ~reserve t =
+  let size = ref (String.length codec_version) in
+  serialize t
+    ~int:(fun _ -> size := !size + 8)
+    ~array:(fun a -> size := !size + (8 * (Array.length a + 1)));
+  let b = Bytes.create (!size + reserve) in
+  Bytes.blit_string codec_version 0 b 0 (String.length codec_version);
+  let pos = ref (String.length codec_version) in
+  let int v =
+    Bytes.set_int64_le b !pos (Int64.of_int v);
+    pos := !pos + 8
+  in
+  serialize t ~int ~array:(fun a ->
+      let n = Array.length a in
+      int n;
+      let base = !pos in
+      for i = 0 to n - 1 do
+        let w = Int64.of_int (Array.unsafe_get a i) in
+        set64u b (base + (8 * i)) (if Sys.big_endian then swap64 w else w)
+      done;
+      pos := base + (8 * n));
+  b
+
+let encode t = Bytes.unsafe_to_string (to_bytes ~reserve:0 t)
 
 let write_binary oc t = output_string oc (encode t)
 
@@ -716,11 +736,16 @@ let p_decode = Ebp_util.Fault.point "write_index.codec.decode"
    [decode] may accept or reject a mutated blob, but it must never raise,
    hang, or allocate unboundedly — every count is clamped against the
    bytes actually present before anything is sized from it. *)
-let decode s =
+let decode ?len s =
   match Ebp_util.Fault.fires p_decode with
   | Some _ -> Error "injected fault at write_index.codec.decode"
   | None -> (
-      let len = String.length s in
+      let len =
+        match len with
+        | Some n when n >= 0 && n <= String.length s -> n
+        | Some _ -> invalid_arg "Write_index.decode: bad length"
+        | None -> String.length s
+      in
       let pos = ref 0 in
       let read_int () =
         if !pos + 8 > len then raise (Malformed "truncated int");
@@ -733,10 +758,14 @@ let decode s =
         (* At most (len - pos) / 8 elements can be present: clamping here
            bounds the allocation a corrupt count can drive. *)
         if n < 0 || n > (len - !pos) / 8 then raise (Malformed "bad array length");
-        let arr =
-          Array.init n (fun i -> Int64.to_int (String.get_int64_le s (!pos + (i * 8))))
-        in
-        pos := !pos + (n * 8);
+        let base = !pos in
+        let arr = Array.make n 0 in
+        for i = 0 to n - 1 do
+          let w = get64u s (base + (i * 8)) in
+          Array.unsafe_set arr i
+            (Int64.to_int (if Sys.big_endian then swap64 w else w))
+        done;
+        pos := base + (n * 8);
         arr
       in
       let check_monotone what arr =

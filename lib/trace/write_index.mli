@@ -246,15 +246,22 @@ val codec_version : string
 
 val encode : t -> string
 (** Serialize to the flat binary form (magic, then 8-byte LE ints and
-    length-prefixed arrays). {!Trace_cache} seals exactly these bytes
-    under its CRC trailer. *)
+    length-prefixed arrays), sized exactly and written once. *)
 
-val decode : string -> (t, string) result
-(** Inverse of {!encode}. Hardened against adversarial input: every
-    length is clamped against the bytes actually present, posting/object
-    offsets are validated, trailing bytes are rejected, and no input
-    makes it raise (it returns [Error _]). Evaluates the
-    [write_index.codec.decode] fault point. *)
+val to_bytes : reserve:int -> t -> bytes
+(** The {!encode} image followed by [reserve] uninitialised bytes, in one
+    allocation. {!Trace_cache} reserves its CRC trailer this way and
+    seals the index in place. *)
+
+val decode : ?len:int -> string -> (t, string) result
+(** Inverse of {!encode}, over the first [len] bytes of the string
+    (default: all of it) — so a sealed cache image decodes in place,
+    trailer and all. Hardened against adversarial input: every length is
+    clamped against the bytes actually present, posting/object offsets
+    are validated, trailing bytes are rejected, and no input makes it
+    raise (it returns [Error _]). Evaluates the
+    [write_index.codec.decode] fault point.
+    @raise Invalid_argument if [len] is outside the string. *)
 
 val write_binary : out_channel -> t -> unit
 (** [output_string oc (encode t)]. *)

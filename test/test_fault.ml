@@ -22,6 +22,18 @@ let rule pattern trigger action = { Fault.pattern; trigger; action }
 
 (* --- Crc32 --- *)
 
+(* The textbook bytewise CRC-32, bit by bit: the reference the sliced
+   implementation must agree with on every alignment and length. *)
+let reference_crc32 s ~pos ~len =
+  let c = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    c := !c lxor Char.code s.[i];
+    for _ = 0 to 7 do
+      c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done
+  done;
+  !c lxor 0xFFFFFFFF
+
 let test_crc32_known_values () =
   Alcotest.(check int) "empty" 0 (Crc32.string "");
   (* The standard CRC-32 check value. *)
@@ -29,7 +41,36 @@ let test_crc32_known_values () =
   Alcotest.(check int) "sub window agrees" (Crc32.string "456")
     (Crc32.sub "123456789" ~pos:3 ~len:3);
   Alcotest.check_raises "bad window" (Invalid_argument "Crc32.sub") (fun () ->
-      ignore (Crc32.sub "abc" ~pos:2 ~len:2))
+      ignore (Crc32.sub "abc" ~pos:2 ~len:2));
+  (* Every alignment (pos 0-15) and every length across the 8-byte
+     stride boundaries (0-64), over seeded bytes. *)
+  let rng = Random.State.make [| 0xC4C |] in
+  let buf = String.init 96 (fun _ -> Char.chr (Random.State.int rng 256)) in
+  for pos = 0 to 15 do
+    for len = 0 to 64 do
+      if Crc32.sub buf ~pos ~len <> reference_crc32 buf ~pos ~len then
+        Alcotest.failf "Crc32.sub pos=%d len=%d differs from bytewise" pos len
+    done
+  done;
+  let big =
+    String.init (1 lsl 20) (fun _ -> Char.chr (Random.State.int rng 256))
+  in
+  Alcotest.(check int) "1 MiB agrees with bytewise"
+    (reference_crc32 big ~pos:0 ~len:(String.length big))
+    (Crc32.string big);
+  (* [update] chained over random splits equals one [sub]. *)
+  let whole = Crc32.string big in
+  for _ = 1 to 20 do
+    let crc = ref 0 and pos = ref 0 in
+    while !pos < String.length big do
+      let len =
+        min (String.length big - !pos) (Random.State.int rng 70000)
+      in
+      crc := Crc32.update !crc big ~pos:!pos ~len;
+      pos := !pos + len
+    done;
+    Alcotest.(check int) "chained update = one sub" whole !crc
+  done
 
 let test_crc32_sensitivity () =
   let base = Crc32.string "the quick brown fox" in
@@ -209,14 +250,19 @@ let write_raw path data =
   output_string oc data;
   close_out oc
 
+(* An installed rule set that matches no point: it fires nothing, but
+   [Fault.active] makes every trace lookup take the CRC-verified load
+   instead of the structural-only mmap fast path. *)
+let with_verified_loads f =
+  with_rules [ rule "test.no_such_point" Fault.Always Fault.Fail ] f
+
 (* Any single bit flip anywhere in a stored entry — header, meta, payload,
    or trailer — must read as a miss (CRC-32 detects all single-bit
-   errors), never as a decode of different events. [lookup_decoded] is
-   the tier the seal guards; the full [lookup] would mask the damage by
-   serving the intact columnar sidecar, which is the point of the
-   sidecar (see the corrupt-sidecar cases in test_parallel.ml). *)
+   errors), never as a decode of different events. The verified load is
+   the one the seal guards: the mmap fast path trusts the payload CRC. *)
 let test_every_bitflip_detected () =
-  with_temp_cache_dir (fun dir ->
+  with_temp_cache_dir @@ fun dir ->
+  with_verified_loads (fun () ->
       let key = Trace_cache.make_key ~name:"flip" ~source:"s" ~seed:1 () in
       store_exn ~dir ~key (small_trace ());
       let path = Filename.concat dir (key ^ ".trace") in
@@ -230,7 +276,7 @@ let test_every_bitflip_detected () =
         Bytes.set b !i
           (Char.chr (Char.code (Bytes.get b !i) lxor (1 lsl bit)));
         write_raw path (Bytes.unsafe_to_string b);
-        (match Trace_cache.lookup_decoded ~dir ~key with
+        (match Trace_cache.lookup ~dir ~key with
         | None -> ()
         | Some _ -> Alcotest.failf "flip at byte %d/%d not detected" !i len);
         (* The corrupt file was quarantined; restore the entry. *)
@@ -240,10 +286,11 @@ let test_every_bitflip_detected () =
         i := !i + step
       done;
       Alcotest.(check bool) "pristine entry still hits" true
-        (Trace_cache.lookup_decoded ~dir ~key <> None))
+        (Trace_cache.lookup ~dir ~key <> None))
 
 let test_every_truncation_detected () =
-  with_temp_cache_dir (fun dir ->
+  with_temp_cache_dir @@ fun dir ->
+  with_verified_loads (fun () ->
       let key = Trace_cache.make_key ~name:"cut" ~source:"s" ~seed:2 () in
       store_exn ~dir ~key (small_trace ());
       let path = Filename.concat dir (key ^ ".trace") in
@@ -253,7 +300,7 @@ let test_every_truncation_detected () =
       let cut = ref 0 in
       while !cut < len do
         write_raw path (String.sub original 0 !cut);
-        (match Trace_cache.lookup_decoded ~dir ~key with
+        (match Trace_cache.lookup ~dir ~key with
         | None -> ()
         | Some _ -> Alcotest.failf "truncation to %d/%d not detected" !cut len);
         let corpse = path ^ ".corrupt" in
@@ -263,7 +310,8 @@ let test_every_truncation_detected () =
       done)
 
 let test_quarantine_semantics () =
-  with_temp_cache_dir (fun dir ->
+  with_temp_cache_dir @@ fun dir ->
+  with_verified_loads (fun () ->
       let key = Trace_cache.make_key ~name:"q" ~source:"s" ~seed:3 () in
       let trace = small_trace () in
       store_exn ~dir ~key trace;
@@ -278,7 +326,7 @@ let test_quarantine_semantics () =
           Trace_cache.set_quarantine_log (fun ~file:_ ~reason:_ -> ()))
         (fun () ->
           Alcotest.(check bool) "corrupt entry is a miss" true
-            (Trace_cache.lookup_decoded ~dir ~key = None);
+            (Trace_cache.lookup ~dir ~key = None);
           Alcotest.(check bool) "quarantine hook fired" true
             (List.mem_assoc (key ^ ".trace") !logged);
           Alcotest.(check bool) "renamed aside" true
@@ -329,33 +377,37 @@ let test_lookup_transient_fault_is_plain_miss () =
         [ rule "trace_cache.lookup.data" (Fault.Nth 1) Fault.Fail ]
         (fun () ->
           Alcotest.(check bool) "injected read fault is a miss" true
-            (Trace_cache.lookup_decoded ~dir ~key = None);
+            (Trace_cache.lookup ~dir ~key = None);
           (* A transient fault must not destroy the (intact) entry. *)
           Alcotest.(check bool) "entry not quarantined" true
             (Sys.file_exists (Filename.concat dir (key ^ ".trace")));
           Alcotest.(check bool) "next lookup hits" true
-            (Trace_cache.lookup_decoded ~dir ~key <> None));
-      (* The mapped tier's own transient fault point behaves the same:
-         a plain miss (served by the decoded fallback), no quarantine. *)
+            (Trace_cache.lookup ~dir ~key <> None));
+      (* The mapping's own transient fault point behaves the same: a
+         plain miss (the caller re-records), no quarantine. *)
       with_rules
         [ rule "trace.codec.map" (Fault.Nth 1) Fault.Fail ]
         (fun () ->
-          (match Trace_cache.lookup ~dir ~key with
-          | Some (t, _) ->
-              Alcotest.(check bool) "fault degrades to the decoded tier"
-                false
-                (Ebp_trace.Trace.is_mapped t)
-          | None -> Alcotest.fail "decoded fallback should still hit");
-          Alcotest.(check bool) "sidecar not quarantined" true
-            (Sys.file_exists (Filename.concat dir (key ^ ".ebpt3")))))
+          Alcotest.(check bool) "injected map fault is a miss" true
+            (Trace_cache.lookup ~dir ~key = None);
+          Alcotest.(check bool) "entry not quarantined" true
+            (Sys.file_exists (Filename.concat dir (key ^ ".trace")));
+          Alcotest.(check bool) "next lookup hits" true
+            (Trace_cache.lookup ~dir ~key <> None));
+      (* Outside fault injection the hit is a mapping. *)
+      match Trace_cache.lookup ~dir ~key with
+      | Some (t, _) ->
+          Alcotest.(check bool) "warm hit is mapped" true
+            (Ebp_trace.Trace.is_mapped t)
+      | None -> Alcotest.fail "intact entry should hit")
 
 let test_mangled_store_detected_on_lookup () =
   (* Corruption injected while writing (bit flip after sealing) must land
-     on disk — in both the canonical entry and the columnar sidecar — and
-     then be caught on the way back in. While fault injection is active,
-     mapped lookups verify the full payload CRC (the structural-only fast
-     path is for production loads, where [ebp cache verify] is the
-     backstop), so the lookup quarantines both mangled files and misses. *)
+     on disk and then be caught on the way back in. While fault injection
+     is active, lookups verify the full payload CRC (the structural-only
+     mmap fast path is for production loads, where [ebp cache verify] is
+     the backstop), so the lookup quarantines the mangled entry and
+     misses. *)
   with_temp_cache_dir (fun dir ->
       let key = Trace_cache.make_key ~name:"mangled" ~source:"s" ~seed:7 () in
       with_rules
@@ -364,10 +416,8 @@ let test_mangled_store_detected_on_lookup () =
           store_exn ~dir ~key (small_trace ());
           Alcotest.(check bool) "mangled entry is a miss, not bad data" true
             (Trace_cache.lookup ~dir ~key = None));
-      Alcotest.(check bool) "canonical entry quarantined" true
-        (Sys.file_exists (Filename.concat dir (key ^ ".trace.corrupt")));
-      Alcotest.(check bool) "sidecar quarantined" true
-        (Sys.file_exists (Filename.concat dir (key ^ ".ebpt3.corrupt"))))
+      Alcotest.(check bool) "entry quarantined" true
+        (Sys.file_exists (Filename.concat dir (key ^ ".trace.corrupt"))))
 
 (* --- verify --- *)
 
@@ -387,10 +437,10 @@ let test_verify_scan () =
       let path = Filename.concat dir (k2 ^ ".trace") in
       let data = read_file path in
       write_raw path (String.sub data 0 (String.length data / 2));
-      (* Two traces, their two columnar sidecars, and one index. *)
+      (* Two traces and one index. *)
       let r = Trace_cache.verify ~quarantine:false ~dir () in
-      Alcotest.(check int) "five entries checked" 5 r.Trace_cache.checked;
-      Alcotest.(check int) "four intact" 4 r.Trace_cache.intact;
+      Alcotest.(check int) "three entries checked" 3 r.Trace_cache.checked;
+      Alcotest.(check int) "two intact" 2 r.Trace_cache.intact;
       Alcotest.(check (list string)) "the corrupt one is named"
         [ k2 ^ ".trace" ]
         (List.map fst r.Trace_cache.corrupt);
@@ -401,7 +451,7 @@ let test_verify_scan () =
       Alcotest.(check bool) "now quarantined" true
         (Sys.file_exists (path ^ ".corrupt") && not (Sys.file_exists path));
       let r = Trace_cache.verify ~dir () in
-      Alcotest.(check int) "corpses skipped on the next scan" 4
+      Alcotest.(check int) "corpses skipped on the next scan" 2
         r.Trace_cache.checked;
       Alcotest.(check (list string)) "clean report" []
         (List.map fst r.Trace_cache.corrupt))

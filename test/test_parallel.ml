@@ -262,15 +262,26 @@ let test_cache_roundtrip () =
           Alcotest.(check string) "meta preserved" "0x1.8p3" meta;
           Alcotest.(check int) "event count" (Trace.length trace)
             (Trace.length loaded);
-          (* A warm hit comes from the mmap'd sidecar, not a decode... *)
+          (* A warm hit maps the entry, it does not decode it... *)
           Alcotest.(check bool) "hit is mapped" true (Trace.is_mapped loaded);
-          (* ...while the decoded tier still serves a heap copy. *)
-          (match Trace_cache.lookup_decoded ~dir ~key with
-          | None -> Alcotest.fail "decoded lookup after store"
+          (* ...while the CRC-verified load (taken whenever fault injection
+             is active) decodes the same entry onto the heap. *)
+          let module Fault = Ebp_util.Fault in
+          Fault.configure
+            [ { Fault.pattern = "test.no_such_point"; trigger = Fault.Always;
+                action = Fault.Fail } ];
+          (match
+             Fun.protect ~finally:Fault.reset (fun () ->
+                 Trace_cache.lookup ~dir ~key)
+           with
+          | None -> Alcotest.fail "verified lookup after store"
           | Some (decoded, meta') ->
-              Alcotest.(check string) "decoded meta" "0x1.8p3" meta';
-              Alcotest.(check bool) "decoded tier is heap" false
-                (Trace.is_mapped decoded));
+              Alcotest.(check string) "verified meta" "0x1.8p3" meta';
+              Alcotest.(check bool) "verified load is heap" false
+                (Trace.is_mapped decoded);
+              check_same_counts "replay of the verified load"
+                (Replay.discover_and_replay trace)
+                (Replay.discover_and_replay decoded));
           (* The cached trace replays to the very same counting variables. *)
           check_same_counts "replay of cached trace"
             (Replay.discover_and_replay trace)
@@ -301,19 +312,22 @@ let test_cache_corrupt_entry_is_miss () =
         output_string oc "EBPC1garbage";
         close_out oc
       in
-      (* A corrupt sidecar is quarantined and masked by the decoded tier. *)
-      clobber ".ebpt3";
-      (match Trace_cache.lookup ~dir ~key with
-      | None -> Alcotest.fail "decoded fallback should still hit"
-      | Some (loaded, _) ->
-          Alcotest.(check bool) "fallback hit is decoded" false
-            (Trace.is_mapped loaded));
-      Alcotest.(check bool) "sidecar quarantined" true
-        (Sys.file_exists (Filename.concat dir (key ^ ".ebpt3.corrupt")));
-      (* With the canonical entry corrupt too, the key reads as a miss. *)
+      (* A corrupt entry fails even the mapped load's structural checks:
+         it is quarantined and the key reads as a miss. *)
       clobber ".trace";
       Alcotest.(check bool) "corrupt entry reads as a miss" true
-        (Trace_cache.lookup ~dir ~key = None))
+        (Trace_cache.lookup ~dir ~key = None);
+      Alcotest.(check bool) "entry quarantined" true
+        (Sys.file_exists (Filename.concat dir (key ^ ".trace.corrupt")));
+      (* The caller re-records: a fresh store serves mapped hits again. *)
+      (match Trace_cache.store ~dir ~key (synthetic_trace ()) with
+      | Ok () -> ()
+      | Error msg -> Alcotest.fail ("re-store: " ^ msg));
+      match Trace_cache.lookup ~dir ~key with
+      | None -> Alcotest.fail "re-recorded entry should hit"
+      | Some (loaded, _) ->
+          Alcotest.(check bool) "re-recorded hit is mapped" true
+            (Trace.is_mapped loaded))
 
 (* A fast private workload so the cache tests do not re-run a benchmark. *)
 let tiny_workload =
@@ -378,15 +392,14 @@ let test_cache_entries_and_clear () =
       | Error msg -> Alcotest.fail msg);
       let es = Trace_cache.entries ~dir in
       let kinds = List.map (fun e -> e.Trace_cache.entry_kind) es in
-      Alcotest.(check int) "three entries" 3 (List.length es);
-      Alcotest.(check bool) "one trace, one columnar, one index" true
+      Alcotest.(check int) "two entries" 2 (List.length es);
+      Alcotest.(check bool) "one trace, one index" true
         (List.mem Trace_cache.Trace_entry kinds
-        && List.mem Trace_cache.Columnar_entry kinds
         && List.mem Trace_cache.Index_entry kinds);
       Alcotest.(check bool) "sizes recorded" true
         (List.for_all (fun e -> e.Trace_cache.entry_bytes > 0) es);
       let removed, reclaimed = Trace_cache.clear ~dir in
-      Alcotest.(check int) "clear removes all three" 3 removed;
+      Alcotest.(check int) "clear removes both" 2 removed;
       Alcotest.(check int) "clear reclaims their bytes"
         (List.fold_left (fun acc e -> acc + e.Trace_cache.entry_bytes) 0 es)
         reclaimed;
@@ -396,9 +409,16 @@ let test_cache_entries_and_clear () =
 let test_cache_gc_evicts_oldest () =
   with_temp_cache_dir (fun dir ->
       let trace = synthetic_trace () in
+      let index = Ebp_trace.Write_index.build ~page_sizes:[ 4096 ] trace in
+      let index_file key =
+        key ^ "." ^ Trace_cache.index_key ~key ~page_sizes:[ 4096 ] ^ ".widx"
+      in
       let store name =
         let key = Trace_cache.make_key ~name ~source:"s" ~seed:1 () in
         (match Trace_cache.store ~dir ~key trace with
+        | Ok () -> ()
+        | Error msg -> Alcotest.fail msg);
+        (match Trace_cache.store_index ~dir ~key ~page_sizes:[ 4096 ] index with
         | Ok () -> ()
         | Error msg -> Alcotest.fail msg);
         key
@@ -418,10 +438,10 @@ let test_cache_gc_evicts_oldest () =
       set_age k2 300.0;
       set_age k1 200.0;
       set_age k3 100.0;
-      (* Each stored key owns a canonical entry plus a columnar sidecar;
-         gc evicts whole ownership groups, so budget in group units. *)
+      (* Each stored key owns its trace entry plus a write index; gc
+         evicts whole ownership groups, so budget in group units. *)
       let size f = (Unix.stat (Filename.concat dir f)).Unix.st_size in
-      let group_bytes = size (k1 ^ ".trace") + size (k1 ^ ".ebpt3") in
+      let group_bytes = size (k1 ^ ".trace") + size (index_file k1) in
       (* Budget for two groups: gc drops the temp file and evicts exactly
          the oldest key's group. *)
       let removed, reclaimed =
@@ -432,8 +452,8 @@ let test_cache_gc_evicts_oldest () =
       Alcotest.(check bool) "temp file gone" true (not (Sys.file_exists tmp));
       Alcotest.(check bool) "oldest entry evicted" true
         (Trace_cache.lookup ~dir ~key:k2 = None);
-      Alcotest.(check bool) "no orphaned sidecar left behind" true
-        (not (Sys.file_exists (Filename.concat dir (k2 ^ ".ebpt3"))));
+      Alcotest.(check bool) "no orphaned index left behind" true
+        (not (Sys.file_exists (Filename.concat dir (index_file k2))));
       Alcotest.(check bool) "newer entries survive" true
         (Trace_cache.lookup ~dir ~key:k1 <> None
         && Trace_cache.lookup ~dir ~key:k3 <> None);
@@ -443,8 +463,8 @@ let test_cache_gc_evicts_oldest () =
         (Trace_cache.clear ~dir))
 
 let test_cache_gc_reclaims_orphans () =
-  (* A sidecar or index whose owning trace entry is gone is an orphan:
-     unreferenceable through any lookup key path once the canonical entry
+  (* An index whose owning trace entry is gone is an orphan:
+     unreferenceable through any lookup key path once the trace entry
      disappears, so gc must reclaim it regardless of the byte budget. *)
   with_temp_cache_dir (fun dir ->
       let trace = synthetic_trace () in
@@ -456,12 +476,12 @@ let test_cache_gc_reclaims_orphans () =
       (match Trace_cache.store_index ~dir ~key ~page_sizes:[ 4096 ] index with
       | Ok () -> ()
       | Error msg -> Alcotest.fail msg);
-      Alcotest.(check int) "trace + sidecar + index" 3
+      Alcotest.(check int) "trace + index" 2
         (List.length (Trace_cache.entries ~dir));
-      (* Orphan the artifacts by deleting the canonical trace entry. *)
+      (* Orphan the index by deleting the trace entry. *)
       Sys.remove (Filename.concat dir (key ^ ".trace"));
       let removed, reclaimed = Trace_cache.gc ~dir ~max_bytes:max_int in
-      Alcotest.(check int) "both orphans reclaimed" 2 removed;
+      Alcotest.(check int) "the orphan reclaimed" 1 removed;
       Alcotest.(check bool) "their bytes counted" true (reclaimed > 0);
       Alcotest.(check int) "cache empty" 0
         (List.length (Trace_cache.entries ~dir));
