@@ -576,7 +576,7 @@ let run_phase1 workloads =
 (* --- robustness: integrity overhead on real cache entries --- *)
 
 (* The checksum trailer is pure insurance; this section prices it: raw
-   CRC-32 throughput over a real trace's EBPT3 cache entry, then the sealed
+   CRC-32 throughput over a real trace's EBPT4 cache entry, then the sealed
    store -> verify -> checksummed lookup path on a private cache
    directory. One workload and a handful of I/O round-trips, so it is
    cheap enough to run under --quick too. *)
@@ -1156,9 +1156,10 @@ let run_query traces =
 
 (* --- zero-copy store: mmap vs decode, parallel build, planner --- *)
 
-(* Prices the EBPT3 cache entry end to end: a warm load through the
-   mmap vs a full decode of the same entry (time and allocation — the
-   mapped load must be near-allocation-free), the chunked index build vs
+(* Prices the EBPT4 cache entry end to end: what it and its index cost
+   on disk per event, a warm load through the mmap vs a full decode of
+   the same entry (time and allocation — the mapped load must be
+   near-allocation-free), the chunked index build vs
    the serial one (asserted structurally identical), and the cost-based
    planner against both fixed engines (asserted bit-identical). Cheap
    enough for --quick. *)
@@ -1169,9 +1170,9 @@ let run_store traces =
   let module Replay = Ebp_sessions.Replay in
   let module Planner = Ebp_sessions.Planner in
   print_endline
-    "Zero-copy trace store (EBPT3): warm load via mmap vs full decode,\n\
-     serial vs chunked index build, and the cost-based planner vs both\n\
-     fixed engines";
+    "Zero-copy trace store (EBPT4): bytes per event, warm load via mmap vs\n\
+     full decode, serial vs chunked index build, and the cost-based planner\n\
+     vs both fixed engines";
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "ebp-bench-store-%d" (Unix.getpid ()))
@@ -1214,7 +1215,7 @@ let run_store traces =
                | Ok () -> ()
                | Error msg -> failwith ("store bench: " ^ msg));
                (* The full-decode baseline: read the same entry and run
-                  the fully-checked EBPT3 decoder (CRC included) over it. *)
+                  the fully-checked EBPT4 decoder (CRC included) over it. *)
                let entry = Filename.concat dir (key ^ ".trace") in
                let decoded, decode_ms, decode_alloc =
                  timed_alloc (fun () ->
@@ -1254,6 +1255,22 @@ let run_store traces =
                    ("store bench: parallel index build differs on " ^ name);
                  exit 1
                end;
+               (* What the cache holds per event for this trace: the
+                  entry plus its index, as a cached experiment leaves
+                  them. *)
+               (match Trace_cache.store_index ~dir ~key ~page_sizes serial_ix with
+               | Ok () -> ()
+               | Error msg -> failwith ("store bench: index store: " ^ msg));
+               let bytes_per_event =
+                 float_of_int
+                   (List.fold_left
+                      (fun acc (e : Trace_cache.entry) ->
+                        if String.starts_with ~prefix:key e.Trace_cache.entry_file
+                        then acc + e.Trace_cache.entry_bytes
+                        else acc)
+                      0 (Trace_cache.entries ~dir))
+                 /. float_of_int (max 1 (Trace.length trace))
+               in
                (* The planner (cold, no cached index) against both fixed
                   engines, all on the mapped trace. *)
                let decision = ref "?" in
@@ -1286,6 +1303,7 @@ let run_store traces =
                    [
                      ("workload", Json.Str name);
                      ("events", Json.Int (Trace.length trace));
+                     ("bytes_per_event", Json.Float bytes_per_event);
                      ("decoded_warm_ms", Json.Float decode_ms);
                      ("mmap_warm_ms", Json.Float map_ms);
                      ("warm_load_speedup", Json.Float speedup);
@@ -1302,6 +1320,7 @@ let run_store traces =
                ( [
                    name;
                    string_of_int (Trace.length trace);
+                   Printf.sprintf "%.1f" bytes_per_event;
                    Printf.sprintf "%.2f" decode_ms;
                    Printf.sprintf "%.3f" map_ms;
                    Printf.sprintf "%.1fx" speedup;
@@ -1323,7 +1342,7 @@ let run_store traces =
       print_string
         (Ebp_util.Text_table.render
            ~header:
-             [ "workload"; "events"; "decode ms"; "mmap ms"; "speedup";
+             [ "workload"; "events"; "B/event"; "decode ms"; "mmap ms"; "speedup";
                "decode alloc B"; "mmap alloc B";
                "build ms"; Printf.sprintf "build ms (%dd)" domains ]
            ~rows:load_rows ());

@@ -757,62 +757,75 @@ let cache_cmd =
   in
   let ls_cmd =
     let doc =
-      "List the cache entries, a per-artifact-type size breakdown, and the \
-       total size."
+      "List the cache entries (with events and bytes per event for traces \
+       and indexes), a per-artifact-type size breakdown, and the total size \
+       and bytes per recorded event."
     in
     let f cache_dir =
+      let module C = Ebp_trace.Trace_cache in
       let dir = dir_of cache_dir in
-      let entries = Ebp_trace.Trace_cache.entries ~dir in
       (* Name order for stable output; [gc] evicts by age, not name. *)
       let entries =
         List.sort
-          (fun a b ->
-            compare a.Ebp_trace.Trace_cache.entry_file
-              b.Ebp_trace.Trace_cache.entry_file)
-          entries
+          (fun a b -> compare a.C.entry_file b.C.entry_file)
+          (C.entries ~dir)
+        |> List.map (fun e -> (e, C.entry_events ~dir e))
+      in
+      let per_event bytes events =
+        Printf.sprintf "%.2f" (float_of_int bytes /. float_of_int (max 1 events))
       in
       let rows =
         List.map
-          (fun e ->
+          (fun (e, events) ->
             [
-              kind_name e.Ebp_trace.Trace_cache.entry_kind;
-              string_of_int e.Ebp_trace.Trace_cache.entry_bytes;
-              e.Ebp_trace.Trace_cache.entry_file;
+              kind_name e.C.entry_kind;
+              string_of_int e.C.entry_bytes;
+              (match events with Some n -> string_of_int n | None -> "-");
+              (match events with
+              | Some n -> per_event e.C.entry_bytes n
+              | None -> "-");
+              e.C.entry_file;
             ])
           entries
       in
       if rows <> [] then
         print_string
-          (Ebp_util.Text_table.render ~header:[ "kind"; "bytes"; "file" ] ~rows
-             ());
+          (Ebp_util.Text_table.render
+             ~header:[ "kind"; "bytes"; "events"; "B/event"; "file" ]
+             ~rows ());
       (* Per-kind breakdown in a fixed order (skipping absent kinds), so
          what each artifact type costs on disk is visible at a glance. *)
       List.iter
         (fun kind ->
           let n, bytes =
             List.fold_left
-              (fun (n, b) e ->
-                if e.Ebp_trace.Trace_cache.entry_kind = kind then
-                  (n + 1, b + e.Ebp_trace.Trace_cache.entry_bytes)
+              (fun (n, b) (e, _) ->
+                if e.C.entry_kind = kind then (n + 1, b + e.C.entry_bytes)
                 else (n, b))
               (0, 0) entries
           in
           if n > 0 then
             Printf.printf "%-8s %d entries, %d bytes\n" (kind_name kind) n
               bytes)
-        [
-          Ebp_trace.Trace_cache.Trace_entry;
-          Ebp_trace.Trace_cache.Index_entry;
-          Ebp_trace.Trace_cache.Checkpoint_entry;
-          Ebp_trace.Trace_cache.Tmp_entry;
-          Ebp_trace.Trace_cache.Corrupt_entry;
-        ];
+        [ C.Trace_entry; C.Index_entry; C.Checkpoint_entry; C.Tmp_entry;
+          C.Corrupt_entry ];
       let total =
+        List.fold_left (fun acc (e, _) -> acc + e.C.entry_bytes) 0 entries
+      in
+      Printf.printf "%d entries, %d bytes\n" (List.length entries) total;
+      (* Every byte on disk over the events the traces recorded: what the
+         cache costs per event, indexes and checkpoints included. *)
+      let events =
         List.fold_left
-          (fun acc e -> acc + e.Ebp_trace.Trace_cache.entry_bytes)
+          (fun acc (e, events) ->
+            match (e.C.entry_kind, events) with
+            | C.Trace_entry, Some n -> acc + n
+            | _ -> acc)
           0 entries
       in
-      Printf.printf "%d entries, %d bytes\n" (List.length entries) total
+      if events > 0 then
+        Printf.printf "%s B/event over %d trace events\n" (per_event total events)
+          events
     in
     Cmd.v (Cmd.info "ls" ~doc) Term.(const f $ cache_dir_arg)
   in

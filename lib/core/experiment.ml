@@ -279,7 +279,19 @@ let table3 t =
 
 (* --- Table 4 --- *)
 
-let table4 t =
+(* One overhead summary per approach for each program, in [t.programs]
+   order. Table 4 and Figures 7-9 all read them, so a full report
+   computes them once and hands them to each. *)
+let summaries t =
+  List.map
+    (fun pd ->
+      ( pd,
+        List.map
+          (fun a -> Stats.summarize (relative_overheads t pd a))
+          t.approaches ))
+    t.programs
+
+let table4_of t summaries =
   let header =
     "Program" :: "Statistic" :: List.map Model.name t.approaches
   in
@@ -289,12 +301,7 @@ let table4 t =
   in
   let rows =
     List.concat_map
-      (fun pd ->
-        let summaries =
-          List.map
-            (fun a -> Stats.summarize (relative_overheads t pd a))
-            t.approaches
-        in
+      (fun (pd, summaries) ->
         let name = pd.run.Workload.workload.Workload.name in
         let row label f = (label, List.map (fun s -> fmt (f s)) summaries) in
         let lines =
@@ -310,7 +317,7 @@ let table4 t =
         List.mapi
           (fun i (label, cells) -> (if i = 0 then name else "") :: label :: cells)
           lines)
-      t.programs
+      summaries
   in
   Printf.sprintf
     "Table 4: relative overhead statistics over %s sessions per program\n"
@@ -318,11 +325,13 @@ let table4 t =
        (List.map (fun pd -> string_of_int (List.length pd.sessions)) t.programs))
   ^ Text_table.render ~header ~rows ()
 
+let table4 t = table4_of t (summaries t)
+
 (* --- Figures 7, 8, 9 --- *)
 
 type figure_stat = Max | P90 | T_mean
 
-let figure t ~stat =
+let figure_of t summaries ~stat =
   let title, pick, log_scale =
     match stat with
     | Max ->
@@ -340,21 +349,19 @@ let figure t ~stat =
   in
   let groups =
     List.map
-      (fun pd ->
+      (fun (pd, summaries) ->
         {
           Bar_chart.name = pd.run.Workload.workload.Workload.name;
           series =
-            List.map
-              (fun a ->
-                {
-                  Bar_chart.label = Model.name a;
-                  value = pick (Stats.summarize (relative_overheads t pd a));
-                })
-              t.approaches;
+            List.map2
+              (fun a s -> { Bar_chart.label = Model.name a; value = pick s })
+              t.approaches summaries;
         })
-      t.programs
+      summaries
   in
   Bar_chart.render ~log_scale ~title ~groups ()
+
+let figure t ~stat = figure_of t (summaries t) ~stat
 
 (* --- Section 8 breakdown --- *)
 
@@ -444,15 +451,16 @@ let extremes_report ?(top = 4) t =
   Buffer.contents buf
 
 let full_report t =
+  let summaries = summaries t in
   String.concat "\n"
     [
       table1 t;
       table2 t;
       table3 t;
-      table4 t;
-      figure t ~stat:Max;
-      figure t ~stat:P90;
-      figure t ~stat:T_mean;
+      table4_of t summaries;
+      figure_of t summaries ~stat:Max;
+      figure_of t summaries ~stat:P90;
+      figure_of t summaries ~stat:T_mean;
       breakdown_report t;
       code_expansion_report t;
       extremes_report t;

@@ -14,8 +14,8 @@
    [Machine.run] vs the single-[step] loop (independent execution loops),
    recorded vs unrecorded execution (tracing must not perturb the run),
    the five paper strategies armed identically over the same program
-   (identical (pc, interval) notification sequences), the EBPT2, EBPT3
-   and EBPW2 codec round-trips, the scan vs indexed replay engines, and
+   (identical (pc, interval) notification sequences), the EBPT2, EBPT4
+   and EBPW3 codec round-trips, the scan vs indexed replay engines, and
    the query language's compiled vs streaming engines (random well-typed
    queries drawn from the trace's own pcs, addresses and discovered
    sessions).
@@ -472,7 +472,7 @@ let check_source ?(fuel = default_fuel) ~seed source =
         else Ok ()
   in
   (* The columnar codec must agree with the canonical EBPT2 bytes: a
-     fully-checked decode of the EBPT3 image round-trips the metadata and
+     fully-checked decode of the EBPT4 image round-trips the metadata and
      re-encodes (canonically) to the same EBPT2 bytes. *)
   let* () =
     let bytes = Trace.encode_columnar ~meta:"fuzz" trace in

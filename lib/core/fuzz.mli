@@ -16,7 +16,7 @@
       arm cleanly and report identical (pc, interval) notification
       sequences;
     + {b trace-codec} / {b columnar-codec} / {b index-codec} — the
-      EBPT2, EBPT3 and EBPW2 codecs round-trip the recording
+      EBPT2, EBPT4 and EBPW3 codecs round-trip the recording
       bit-identically;
     + {b stream-vs-batch} — the streaming recorder reproduces the batch
       trace byte-for-byte with an incremental index equal to the batch

@@ -18,23 +18,31 @@ let tag_write = 2
    - [Heap]: the classic interleaved [int array] (4 ints per event). The
      builder, the text codec, and the EBPT2 binary decoder all produce
      this form.
-   - [Mapped]: the EBPT3 columnar form — four struct-of-arrays columns
-     read in place from an mmap'd file as int Bigarrays, plus per-block
-     min/max summaries. Nothing is decoded on load and nothing lives on
-     the OCaml heap except the (small) object side table, so a mapped
-     trace is shareable read-only across domains and across server
-     tenants for free. See the EBPT3 codec comment below. *)
+   - [Mapped]: the EBPT4 columnar form — four struct-of-arrays
+     byte-width columns (see {!Byte_column}) read in place from an
+     mmap'd file, plus per-block min/max summaries. Nothing is decoded on
+     load and nothing lives on the OCaml heap except the (small) object
+     side table, so a mapped trace is shareable read-only across domains
+     and across server tenants for free. See the EBPT4 codec comment
+     below. *)
 
-type int_column = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+type bigstring =
+  (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+(* One column of a mapping: element i lives at byte [off + i * width]. *)
+type column = { off : int; width : int; base : int; mask : int }
 
 type mapped = {
-  m_w0 : int_column;
-  m_lo : int_column;
-  m_hi : int_column;
-  m_pc : int_column;
-  (* 4 ints per block: install/remove count, write count, min write lo,
+  (* The block summaries (8-byte words), then the columns, then the pad. *)
+  m_buf : bigstring;
+  m_w0 : column;
+  m_lo : column;
+  m_span : column;  (* hi - lo *)
+  m_pc : column;
+  (* Blocks of [m_block_events] events, each with 4 summary words at the
+     front of [m_buf]: install/remove count, write count, min write lo,
      max write hi. *)
-  m_summaries : int_column;
+  m_nblocks : int;
   m_block_events : int;
   (* Bounds of every install/remove range in the trace ([max_int] /
      [min_int] when there are none): anything a session can monitor lies
@@ -145,6 +153,20 @@ let install_bounds t =
       Some (m.m_install_lo, m.m_install_hi)
   | _ -> None
 
+(* The mapped read of {!Byte_column}, spelled out here so it inlines:
+   dune's default (dev) profile compiles with -opaque, which stops every
+   call across modules from inlining, and these run once per field per
+   event. Primitives inline regardless. *)
+external bs_get64u : bigstring -> int -> int64 = "%caml_bigstring_get64u"
+
+external swap64 : int64 -> int64 = "%bswap_int64"
+
+let[@inline] load buf pos =
+  Int64.to_int
+    (if Sys.big_endian then swap64 (bs_get64u buf pos) else bs_get64u buf pos)
+
+let[@inline] col_get buf c i = c.base + (load buf (c.off + (i * c.width)) land c.mask)
+
 (* Column access, one closure per column: cold consumers (the codecs,
    [get]) dispatch on the storage once and then read either layout
    through the same shape. The hot iterators below specialize the whole
@@ -152,15 +174,13 @@ let install_bounds t =
 let column_getter t j =
   match t.storage with
   | Heap data -> fun i -> Array.unsafe_get data ((i * stride) + j)
-  | Mapped m ->
-      let c =
-        match j with
-        | 0 -> m.m_w0
-        | 1 -> m.m_lo
-        | 2 -> m.m_hi
-        | _ -> m.m_pc
-      in
-      fun i -> Bigarray.Array1.unsafe_get c i
+  | Mapped m -> (
+      let buf = m.m_buf in
+      match j with
+      | 0 -> col_get buf m.m_w0
+      | 1 -> col_get buf m.m_lo
+      | 2 -> fun i -> col_get buf m.m_lo i + col_get buf m.m_span i
+      | _ -> col_get buf m.m_pc)
 
 let get t i =
   if i < 0 || i >= t.count then invalid_arg "Trace.get: index out of range";
@@ -204,15 +224,30 @@ let iter_raw_range t ~start ~stop f =
           ~pc:(if tag = tag_write then Array.unsafe_get data (base + 3) else -1)
       done
   | Mapped m ->
-      let w0s = m.m_w0 and los = m.m_lo and his = m.m_hi and pcs = m.m_pc in
+      (* The column descriptors in locals: one load, mask and add per
+         field, nothing re-read from the record per event. *)
+      let buf = m.m_buf in
+      let { off = w0_off; width = w0_w; base = w0_base; mask = w0_mask } =
+        m.m_w0
+      and { off = lo_off; width = lo_w; base = lo_base; mask = lo_mask } =
+        m.m_lo
+      and { off = sp_off; width = sp_w; base = sp_base; mask = sp_mask } =
+        m.m_span
+      and { off = pc_off; width = pc_w; base = pc_base; mask = pc_mask } =
+        m.m_pc
+      in
       for i = start to stop - 1 do
-        let w0 = Bigarray.Array1.unsafe_get w0s i in
+        let w0 = w0_base + (load buf (w0_off + (i * w0_w)) land w0_mask) in
         let tag = w0 land 3 in
+        let lo = lo_base + (load buf (lo_off + (i * lo_w)) land lo_mask) in
         f ~tag
           ~obj:(if tag = tag_write then -1 else w0 lsr 2)
-          ~lo:(Bigarray.Array1.unsafe_get los i)
-          ~hi:(Bigarray.Array1.unsafe_get his i)
-          ~pc:(if tag = tag_write then Bigarray.Array1.unsafe_get pcs i else -1)
+          ~lo
+          ~hi:(lo + sp_base + (load buf (sp_off + (i * sp_w)) land sp_mask))
+          ~pc:
+            (if tag = tag_write then
+               pc_base + (load buf (pc_off + (i * pc_w)) land pc_mask)
+             else -1)
       done
 
 let iter_raw t f = iter_raw_range t ~start:0 ~stop:t.count f
@@ -221,13 +256,12 @@ let iter_raw_skipping t ~skip ~on_skip f =
   match t.storage with
   | Heap _ -> iter_raw t f
   | Mapped m ->
-      let s = m.m_summaries in
-      let nblocks = Bigarray.Array1.dim s / 4 in
-      for b = 0 to nblocks - 1 do
+      let sum k = load m.m_buf (8 * k) in
+      for b = 0 to m.m_nblocks - 1 do
         let base = 4 * b in
-        let meta = s.{base} and writes = s.{base + 1} in
+        let meta = sum base and writes = sum (base + 1) in
         if meta = 0 && writes > 0
-           && skip ~min_lo:s.{base + 2} ~max_hi:s.{base + 3}
+           && skip ~min_lo:(sum (base + 2)) ~max_hi:(sum (base + 3))
         then on_skip ~writes
         else
           iter_raw_range t ~start:(b * m.m_block_events)
@@ -497,55 +531,61 @@ let write_binary oc t = output_string oc (encode t)
 
 let read_binary ic = decode (In_channel.input_all ic)
 
-(* --- EBPT3: the mmap-able columnar layout ---
+(* --- EBPT4: the mmap-able columnar layout ---
 
-   EBPT3 lays the same four columns out as raw 8-byte little-endian
-   words, 8-byte aligned, so a warm load is a single [Unix.map_file]:
-   no per-event decode, no OCaml-heap allocation proportional to the
-   trace, and the page cache shares one physical copy across every
-   domain and every process that maps it. The price is size (32 B/event
-   against EBPT2's ~5), which the trace cache pays: its one entry per
-   trace is this image. EBPT2 remains the exchange format of
-   [ebp trace -o] / [--from-trace].
+   EBPT4 lays the same four columns out as byte-width frame-of-reference
+   columns ({!Byte_column}): each stores its minimum and the fewest bytes
+   (1 to 8) that hold its range, both chosen by the encoder from the
+   data. A warm load is a single [Unix.map_file]: no per-event decode, no
+   OCaml-heap allocation proportional to the trace, and the page cache
+   shares one physical copy across every domain and every process that
+   maps it. Reading a field is one unaligned 8-byte load, a mask and the
+   base; a recorded trace needs 3 + 3 + 1 + 2 bytes per event where the
+   fixed 8-byte words of EBPT3 took 32. EBPT2 remains the exchange
+   format of [ebp trace -o] / [--from-trace].
 
-     bytes 0-7    magic "EBPT3\0\0\0"
-     bytes 8-71   8 header words (8-byte LE):
-                    count, nobjs, meta_len, objs_len,
-                    block_events, nblocks, install_lo, install_hi
-     then         meta bytes (opaque caller string, as Trace_cache meta)
-     then         object table: a varint string pool (the distinct
-                  function/variable names), then per object a tag byte
-                  plus varint pool indices and integers
+     bytes 0-7     magic "EBPT4\0\0\0"
+     bytes 8-111   13 header words (8-byte LE):
+                     count, nobjs, meta_len, objs_len,
+                     block_events, nblocks, install_lo, install_hi,
+                     the bases of w0, lo, hi - lo and pc,
+                     their widths, one byte each from the low end
+     then          meta bytes (opaque caller string, as Trace_cache meta)
+     then          object table: a varint string pool (the distinct
+                   function/variable names), then per object a tag byte
+                   plus varint pool indices and integers
      pad to 8
-     then         block summaries: nblocks x 4 words
-                    (install/remove count, write count, min write lo,
-                     max write hi) over blocks of [block_events] events
-     then         columns w0, lo, hi, pc: count words each
-     trailer      "EBPZ" + 8-byte LE CRC-32 of everything before it
+     then          block summaries: nblocks x 4 words
+                     (install/remove count, write count, min write lo,
+                      max write hi) over blocks of [block_events] events
+     then          columns w0, lo, hi - lo, pc: count x width bytes each
+     then          7 zero bytes, so the last element's 8-byte load stays
+                   inside the file
+     trailer       "EBPZ" + 8-byte LE CRC-32 of everything before it
 
    [decode_columnar] verifies everything including the CRC (it is what
    [ebp cache verify] and the fuzzer's columnar oracle run).
-   [map_columnar] is the hot path: it validates the header, the object
-   table, the exact file length, the trailer magic, and the whole w0
-   column (tags and object ids), but — deliberately — not the CRC of the
-   column payload: checksumming tens of megabytes on every warm load
-   would cost more than the decode it replaces. Full-payload integrity
-   is the job of the sealed write path, [ebp cache verify], and — when
-   fault injection is active, which is exactly when bytes get mangled in
-   flight — [~verify:true]. docs/PERFORMANCE.md states the tradeoff.
+   [map_columnar] is the hot path: it validates the header (widths 1 to 8
+   included), the object table, the exact file length (pad included), the
+   trailer magic, and the whole w0 column (tags and object ids), but —
+   deliberately — not the CRC of the column payload: checksumming the
+   payload on every warm load would cost more than the decode it
+   replaces. Full-payload integrity is the job of the sealed write path,
+   [ebp cache verify], and — when fault injection is active, which is
+   exactly when bytes get mangled in flight — [~verify:true].
+   docs/PERFORMANCE.md states the tradeoff.
 
    The summaries give consumers block skipping: a block whose summary
    shows no install/remove events and whose write range cannot overlap
    [install_lo, install_hi] (the bounds of everything monitorable) can
    only contribute its write count, never a hit — [iter_raw_skipping]
-   above exploits exactly that. Words are native-endian in memory and
-   little-endian in the file, so the format assumes a little-endian
-   host, like every other fixed-width codec in this repo. *)
+   above exploits exactly that. *)
 
-let columnar_version = "EBPT3"
-let columnar_magic = "EBPT3\x00\x00\x00"
+let columnar_version = "EBPT4"
+let columnar_magic = "EBPT4\x00\x00\x00"
 let columnar_block_events = 4096
-let columnar_header_len = 8 + (8 * 8)
+let columnar_header_words = 13
+let columnar_header_len = 8 + (8 * columnar_header_words)
 let columnar_trailer_magic = "EBPZ"
 let columnar_trailer_len = 12
 
@@ -556,7 +596,7 @@ let align8 n = (n + 7) land lnot 7
 (* The columnar object table. EBPT2 stores each descriptor's printed
    form and re-parses it on load; at half a million descriptors
    (lattice) that parse costs more than mapping every column combined.
-   EBPT3 stores descriptors directly: a pool of the distinct strings
+   EBPT4 stores descriptors directly: a pool of the distinct strings
    (function and variable names repeat across activations, so the pool
    stays tiny), then per descriptor a tag byte plus varint pool indices
    and integers. Loading allocates each distinct name once and one
@@ -713,6 +753,11 @@ let compute_summaries t =
   done;
   (sums, !ilo, !ihi)
 
+(* The four stored columns of either storage, in file order. *)
+let stored_columns t =
+  let lo = column_getter t 1 and hi = column_getter t 2 in
+  [| column_getter t 0; lo; (fun i -> hi i - lo i); column_getter t 3 |]
+
 let encode_columnar ?(meta = "") t =
   Obs_span.with_span "codec.encode_columnar" @@ fun () ->
   let count = t.count in
@@ -722,31 +767,38 @@ let encode_columnar ?(meta = "") t =
   let meta_len = String.length meta in
   let sums, install_lo, install_hi = compute_summaries t in
   let nblocks = Array.length sums / 4 in
+  let columns = stored_columns t in
+  let frames = Array.map (Byte_column.frame count) columns in
   let objs_end = columnar_header_len + meta_len + objs_len in
   let data_off = align8 objs_end in
-  let body_len = data_off + ((Array.length sums + (4 * count)) * 8) in
+  let cols_off = data_off + (Array.length sums * 8) in
+  let cols_end =
+    Array.fold_left (fun off (_, width) -> off + (count * width)) cols_off frames
+  in
+  let body_len = cols_end + Byte_column.pad in
   (* One exact-size allocation, every byte written once: the header,
-     the alignment padding, the summaries and columns, then the trailer
-     sealing it in place. *)
+     the alignment padding, the summaries and columns, the pad, then the
+     trailer sealing it in place. *)
   let buf = Bytes.create (body_len + columnar_trailer_len) in
   Bytes.blit_string columnar_magic 0 buf 0 8;
   let set_word pos v = Bytes.set_int64_le buf pos (Int64.of_int v) in
   List.iteri
     (fun i v -> set_word (8 + (8 * i)) v)
-    [ count; nobjs; meta_len; objs_len; columnar_block_events; nblocks;
-      install_lo; install_hi ];
+    ([ count; nobjs; meta_len; objs_len; columnar_block_events; nblocks;
+       install_lo; install_hi ]
+    @ Array.to_list (Array.map fst frames)
+    @ [ Array.fold_right (fun (_, width) acc -> (acc lsl 8) lor width) frames 0 ]);
   Bytes.blit_string meta 0 buf columnar_header_len meta_len;
   Bytes.blit_string objs_blob 0 buf (columnar_header_len + meta_len) objs_len;
   Bytes.fill buf objs_end (data_off - objs_end) '\x00';
   Array.iteri (fun i v -> set_word (data_off + (8 * i)) v) sums;
-  let cols_off = data_off + (Array.length sums * 8) in
-  for j = 0 to 3 do
-    let get = column_getter t j in
-    let base = cols_off + (j * count * 8) in
-    for i = 0 to count - 1 do
-      set_word (base + (8 * i)) (get i)
-    done
-  done;
+  let pos = ref cols_off in
+  Array.iteri
+    (fun j (base, width) ->
+      Byte_column.write buf ~pos:!pos ~base ~width count columns.(j);
+      pos := !pos + (count * width))
+    frames;
+  Bytes.fill buf cols_end Byte_column.pad '\x00';
   Bytes.blit_string columnar_trailer_magic 0 buf body_len 4;
   set_word (body_len + 4)
     (Ebp_util.Crc32.sub (Bytes.unsafe_to_string buf) ~pos:0 ~len:body_len);
@@ -761,12 +813,13 @@ type columnar_header = {
   h_nobjs : int;
   h_meta_len : int;
   h_objs_len : int;
-  h_block_events : int;
   h_nblocks : int;
   h_install_lo : int;
   h_install_hi : int;
   h_data_off : int;
   h_body_len : int;
+  (* w0, lo, hi - lo, pc, with offsets from the file start *)
+  h_columns : column array;
 }
 
 let parse_columnar_header ~file_len first_bytes =
@@ -779,23 +832,41 @@ let parse_columnar_header ~file_len first_bytes =
   let word i = Int64.to_int (String.get_int64_le first_bytes (8 + (8 * i))) in
   let h_count = word 0 and h_nobjs = word 1 in
   let h_meta_len = word 2 and h_objs_len = word 3 in
-  let h_block_events = word 4 and h_nblocks = word 5 in
+  let block_events = word 4 and h_nblocks = word 5 in
   let h_install_lo = word 6 and h_install_hi = word 7 in
+  let widths = word 12 in
+  let width j = (widths lsr (8 * j)) land 0xff in
   let h_body_len = file_len - columnar_trailer_len in
   if h_count < 0 || h_nobjs < 0 || h_meta_len < 0 || h_objs_len < 0 then
     fail "negative size in columnar header";
-  if h_block_events <= 0 then fail "bad columnar block size";
-  if h_nblocks <> (h_count + h_block_events - 1) / h_block_events then
+  if block_events <> columnar_block_events then fail "bad columnar block size";
+  if h_nblocks <> (h_count + block_events - 1) / block_events then
     fail "bad columnar block count";
+  if widths lsr 32 <> 0
+     || not
+          (List.for_all (fun j -> Byte_column.valid_width (width j)) [ 0; 1; 2; 3 ])
+  then fail "bad columnar column width";
   if h_meta_len > h_body_len || h_objs_len > h_body_len - h_meta_len then
     fail "columnar header out of bounds";
   let h_data_off = align8 (columnar_header_len + h_meta_len + h_objs_len) in
-  if h_count > (h_body_len - h_data_off) / (8 * stride)
-     || h_data_off + (((4 * h_nblocks) + (stride * h_count)) * 8) <> h_body_len
+  let event_bytes = width 0 + width 1 + width 2 + width 3 in
+  let cols_off = h_data_off + (4 * h_nblocks * 8) in
+  if h_count > (h_body_len - h_data_off) / event_bytes
+     || cols_off + (h_count * event_bytes) + Byte_column.pad <> h_body_len
   then fail "columnar length does not match header";
+  let off = ref cols_off in
+  let h_columns =
+    Array.init 4 (fun j ->
+        let c =
+          { off = !off; width = width j; base = word (8 + j);
+            mask = Byte_column.mask (width j) }
+        in
+        off := !off + (h_count * c.width);
+        c)
+  in
   {
-    h_count; h_nobjs; h_meta_len; h_objs_len; h_block_events; h_nblocks;
-    h_install_lo; h_install_hi; h_data_off; h_body_len;
+    h_count; h_nobjs; h_meta_len; h_objs_len; h_nblocks; h_install_lo;
+    h_install_hi; h_data_off; h_body_len; h_columns;
   }
 
 let check_w0 ~nobjs w0 =
@@ -823,18 +894,18 @@ let decode_columnar s =
         ~pos:(columnar_header_len + h.h_meta_len)
         ~objs_end:(columnar_header_len + h.h_meta_len + h.h_objs_len)
     in
-    let sums_off = h.h_data_off in
-    let cols_off = sums_off + (4 * h.h_nblocks * 8) in
     let data = Array.make (h.h_count * stride) 0 in
-    for j = 0 to 3 do
-      let base = cols_off + (j * h.h_count * 8) in
-      for i = 0 to h.h_count - 1 do
-        data.((i * stride) + j) <-
-          Int64.to_int (String.get_int64_le s (base + (8 * i)))
-      done
-    done;
+    Array.iteri
+      (fun j c ->
+        for i = 0 to h.h_count - 1 do
+          data.((i * stride) + j) <-
+            Byte_column.get s (c.off + (i * c.width)) ~base:c.base ~mask:c.mask
+        done)
+      h.h_columns;
     for i = 0 to h.h_count - 1 do
-      check_w0 ~nobjs:h.h_nobjs data.(i * stride)
+      let base = i * stride in
+      check_w0 ~nobjs:h.h_nobjs data.(base);
+      data.(base + 2) <- data.(base + 1) + data.(base + 2)
     done;
     let t = { storage = Heap data; count = h.h_count; objs } in
     (* The summaries drive block skipping; a mismatch would silently
@@ -845,8 +916,8 @@ let decode_columnar s =
       fail "columnar install bounds mismatch";
     Array.iteri
       (fun i v ->
-        if Int64.to_int (String.get_int64_le s (sums_off + (8 * i))) <> v then
-          fail "columnar block summary mismatch")
+        if Int64.to_int (String.get_int64_le s (h.h_data_off + (8 * i))) <> v
+        then fail "columnar block summary mismatch")
       sums;
     Metrics.add m_bytes_in (String.length s);
     Ok (t, meta)
@@ -906,25 +977,27 @@ let map_columnar ?(verify = false) ?(mangle = Fun.id) path =
       let trailer = really_read fd (Bytes.create 4) in
       if trailer <> columnar_trailer_magic then
         raise (Malformed "missing columnar checksum trailer");
-      let nsums = 4 * h.h_nblocks in
-      let dims = nsums + (stride * h.h_count) in
-      let arr =
-        if dims = 0 then
-          Bigarray.Array1.create Bigarray.int Bigarray.c_layout 0
-        else
-          Bigarray.array1_of_genarray
-            (Unix.map_file fd ~pos:(Int64.of_int h.h_data_off) Bigarray.int
-               Bigarray.c_layout false [| dims |])
+      (* Summaries, columns and pad: never empty, the pad alone is 7
+         bytes, and every column load ends inside it. *)
+      let buf =
+        Bigarray.array1_of_genarray
+          (Unix.map_file fd ~pos:(Int64.of_int h.h_data_off) Bigarray.char
+             Bigarray.c_layout false
+             [| h.h_body_len - h.h_data_off |])
       in
-      let sub pos len = Bigarray.Array1.sub arr pos len in
+      let col j =
+        let c = h.h_columns.(j) in
+        { c with off = c.off - h.h_data_off }
+      in
       let m =
         {
-          m_summaries = sub 0 nsums;
-          m_w0 = sub nsums h.h_count;
-          m_lo = sub (nsums + h.h_count) h.h_count;
-          m_hi = sub (nsums + (2 * h.h_count)) h.h_count;
-          m_pc = sub (nsums + (3 * h.h_count)) h.h_count;
-          m_block_events = h.h_block_events;
+          m_buf = buf;
+          m_w0 = col 0;
+          m_lo = col 1;
+          m_span = col 2;
+          m_pc = col 3;
+          m_nblocks = h.h_nblocks;
+          m_block_events = columnar_block_events;
           m_install_lo = h.h_install_lo;
           m_install_hi = h.h_install_hi;
         }
@@ -934,7 +1007,7 @@ let map_columnar ?(verify = false) ?(mangle = Fun.id) path =
          hottest column are faulted in while we are at it. The other
          three columns are plain integers — any value is safe. *)
       for i = 0 to h.h_count - 1 do
-        check_w0 ~nobjs:h.h_nobjs (Bigarray.Array1.unsafe_get m.m_w0 i)
+        check_w0 ~nobjs:h.h_nobjs (col_get buf m.m_w0 i)
       done;
       Metrics.add m_mapped_bytes file_len;
       Ok ({ storage = Mapped m; count = h.h_count; objs }, meta)
@@ -943,3 +1016,7 @@ let map_columnar ?(verify = false) ?(mangle = Fun.id) path =
     | exception Malformed msg -> Error msg
     | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
     | exception Sys_error msg -> Error msg
+
+let columnar_events s =
+  if String.length s < 16 || String.sub s 0 8 <> columnar_magic then None
+  else Some (Int64.to_int (String.get_int64_le s 8))

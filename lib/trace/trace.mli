@@ -110,7 +110,7 @@ val iter_raw_skipping :
 val install_bounds : t -> (int * int) option
 (** [Some (lo, hi)] covering every install/remove range in the trace —
     the address space outside it can never produce a session hit or page
-    touch. Available only on mapped traces (the EBPT3 header carries it);
+    touch. Available only on mapped traces (the EBPT4 header carries it);
     [None] on heap traces or when the trace installs nothing. *)
 
 val is_mapped : t -> bool
@@ -149,13 +149,13 @@ val of_text : string -> (t, string) result
 val codec_version : string
 (** Magic/version tag of the binary codec ("EBPT2"), the compact
     exchange format of [ebp trace -o] and [--from-trace]. The trace cache
-    stores EBPT3 instead (see {!columnar_version}). *)
+    stores EBPT4 instead (see {!columnar_version}). *)
 
 val encode : t -> string
 (** Serialize to the compact binary format: struct-of-arrays columns with
     LEB128 varints, delta-encoded [lo] and write-[pc] chains (see the
     codec comment in the implementation). A workload trace lands around
-    5 bytes/event against 32 for the old fixed-width layout. *)
+    5 bytes/event. *)
 
 val decode : string -> (t, string) result
 (** Inverse of {!encode}. Rejects bad magic, truncated or trailing bytes,
@@ -168,46 +168,58 @@ val read_binary : in_channel -> (t, string) result
 (** Decode a trace from [ic], consuming the channel to end-of-file (the
     trace must be the final payload of the file). *)
 
-(** {2 EBPT3 — the zero-copy columnar layout}
+(** {2 EBPT4 — the zero-copy columnar layout}
 
-    EBPT3 stores the four event columns as raw 8-byte-aligned
-    little-endian words so a warm load is a single [mmap]: no per-event
-    decode, no heap allocation proportional to the trace, one physical
-    copy shared by every domain and process that maps the file. Files are
-    self-sealed ("EBPZ" + CRC-32 trailer) and carry per-block min/max
-    summaries that {!iter_raw_skipping} turns into block skipping. The
-    full layout and the mmap lifetime/safety rules are documented in
-    [docs/PERFORMANCE.md]. *)
+    EBPT4 stores the four event columns (w0, lo, hi - lo, pc) as
+    frame-of-reference byte-width columns ({!Byte_column}): each keeps
+    its minimum and the fewest bytes, 1 to 8, that hold its range, so a
+    recorded trace takes about 10 bytes per event where 8-byte words took
+    32. A warm load is still a single [mmap]: no per-event decode, no
+    heap allocation proportional to the trace, one physical copy shared
+    by every domain and process that maps the file; a field read is one
+    unaligned 8-byte load, a mask and the base. Files are self-sealed
+    ("EBPZ" + CRC-32 trailer) and carry per-block min/max summaries that
+    {!iter_raw_skipping} turns into block skipping. The full layout and
+    the mmap lifetime/safety rules are documented in
+    [docs/PERFORMANCE.md] and [docs/ROBUSTNESS.md]. *)
 
 val columnar_version : string
-(** Magic/version tag of the columnar codec ("EBPT3"); {!Trace_cache}
+(** Magic/version tag of the columnar codec ("EBPT4"); {!Trace_cache}
     hashes it into every key, so bumping it orphans old cache entries
     instead of misreading them. *)
 
 val encode_columnar : ?meta:string -> t -> string
-(** Serialize to a complete, self-sealed EBPT3 file image (header,
-    [meta], object table, block summaries, columns, CRC trailer), built
-    in one exact-size allocation. Larger than {!encode} (32 B/event) — it
-    buys load time with disk; {!Trace_cache} stores it as the entry. *)
+(** Serialize to a complete, self-sealed EBPT4 file image (header,
+    [meta], object table, block summaries, columns, pad, CRC trailer),
+    built in one exact-size allocation. Larger than {!encode} (about 10
+    B/event against 5) — it buys load time with disk; {!Trace_cache}
+    stores it as the entry. *)
 
 val decode_columnar : string -> (t * string, string) result
 (** Fully-checked inverse of {!encode_columnar}: verifies the CRC, every
-    header field against the file length, object descriptors, event tags
-    and ids, and that the block summaries match the events. Returns a
-    heap trace plus the embedded [meta]. This is the verification path
-    ([ebp cache verify], the fuzzer's columnar oracle). *)
+    header field (column widths included) against the file length,
+    object descriptors, event tags and ids, and that the block summaries
+    match the events. Returns a heap trace plus the embedded [meta]. This
+    is the verification path ([ebp cache verify], the fuzzer's columnar
+    oracle). *)
 
 val map_columnar :
   ?verify:bool -> ?mangle:(string -> string) -> string ->
   (t * string, string) result
-(** Map the EBPT3 file at [path] and return a trace reading its columns
-    in place. Validates the header, object table, exact file length,
-    trailer magic, and the whole w0 column (tags/object ids) — but not
-    the payload CRC, whose cost would rival the decode being avoided;
-    run [ebp cache verify] (or pass [~verify:true], which reads the file
-    and loads it through {!decode_columnar}, passing the bytes read
-    through [mangle] first — the cache's read fault point) for full
-    integrity checking. Any validation failure or I/O error is [Error].
-    Under fault injection the [trace.codec.map] point (and [mangle]) may
-    raise {!Ebp_util.Fault.Injected} — a transient miss, distinct from a
-    bad file. *)
+(** Map the EBPT4 file at [path] and return a trace reading its columns
+    in place. Validates the header (column widths 1 to 8), object table,
+    exact file length (the pad included), trailer magic, and the whole
+    w0 column (tags/object ids) — but not the payload CRC, whose cost
+    would rival the decode being avoided; run [ebp cache verify] (or
+    pass [~verify:true], which reads the file and loads it through
+    {!decode_columnar}, passing the bytes read through [mangle] first —
+    the cache's read fault point) for full integrity checking. Any
+    validation failure or I/O error is [Error]. Under fault injection
+    the [trace.codec.map] point (and [mangle]) may raise
+    {!Ebp_util.Fault.Injected} — a transient miss, distinct from a bad
+    file. *)
+
+val columnar_events : string -> int option
+(** The event count in the header of an EBPT4 image, given at least its
+    first 16 bytes; [None] when they do not start one. Nothing else is
+    checked. *)

@@ -1,12 +1,12 @@
 (* One file per artifact, each a sealed image:
 
-     <key>.trace          the EBPT3 columnar trace (Trace.encode_columnar),
+     <key>.trace          the EBPT4 columnar trace (Trace.encode_columnar),
                           caller meta in its header, self-sealed
      <key>.<ikey>.widx    a Write_index.encode body, sealed below
      <key>.<ckey>.ckpt    a Checkpoint.encode body, sealed below
 
    A seal is a 12-byte trailer, "EBPZ" plus the 8-byte LE CRC-32 of every
-   byte before it — the same trailer EBPT3 carries — written into a slot
+   byte before it — the same trailer EBPT4 carries — written into a slot
    the encoder reserved, so sealing never copies the image. The CRC is
    checked before anything is decoded, so truncation and bit flips are
    detected up front instead of surfacing as decoder errors — or worse,
@@ -17,7 +17,7 @@
    The version string below is hashed into every key and names the trace
    codec, so a format change silently orphans old entries instead of
    misreading them. *)
-let version = "ebp-trace-cache-v5:" ^ Trace.columnar_version
+let version = "ebp-trace-cache-v6:" ^ Trace.columnar_version
 let trailer_magic = "EBPZ"
 let trailer_len = 12
 
@@ -208,7 +208,7 @@ let store_file ~dir ~path data =
   in
   attempt 0
 
-(* The EBPT3 image seals itself; the crash fault points fire during its
+(* The EBPT4 image seals itself; the crash fault points fire during its
    write like any other entry's. *)
 let store ~dir ~key ?(meta = "") trace =
   timed "cache.store" m_store_ns @@ fun () ->
@@ -405,6 +405,20 @@ let entries ~dir =
              | 0 -> compare a.entry_file b.entry_file
              | c -> c)
 
+let entry_events ~dir e =
+  let header parse =
+    match
+      In_channel.with_open_bin (Filename.concat dir e.entry_file) (fun ic ->
+          really_input_string ic 16)
+    with
+    | s -> parse s
+    | exception (Sys_error _ | End_of_file) -> None
+  in
+  match e.entry_kind with
+  | Trace_entry -> header Trace.columnar_events
+  | Index_entry -> header Write_index.header_events
+  | Checkpoint_entry | Tmp_entry | Corrupt_entry -> None
+
 let remove_entry ~dir e =
   match Sys.remove (Filename.concat dir e.entry_file) with
   | () ->
@@ -518,7 +532,7 @@ let verify ?(quarantine = true) ~dir () =
             | None -> Error "unreadable"
             | Some data -> (
                 match e.entry_kind with
-                (* EBPT3 seals itself: the full decoder checks its CRC and
+                (* EBPT4 seals itself: the full decoder checks its CRC and
                    everything the mmap fast path trusts, so this is where
                    damage the mapped load would miss gets caught. *)
                 | Trace_entry ->

@@ -12,17 +12,16 @@
     {!make_key} hashes the tuple (cache version, program name, source
     digest, seed, fuel) into a hex string:
 
-    {[ MD5 ("ebp-trace-cache-v5:EBPT3" ^ name ^ MD5 (source) ^ seed ^ fuel) ]}
+    {[ MD5 ("ebp-trace-cache-v6:EBPT4" ^ name ^ MD5 (source) ^ seed ^ fuel) ]}
 
     Any input that could change the recorded events changes the key, so a
     stale entry can never be returned for modified source — entries need no
     invalidation, only garbage collection. The codec version is part of the
     hash: a change to the trace format or to the entry layout bumps the
-    constant and orphans (rather than misparses) old entries. v5 made the
-    EBPT3 image the only file per trace; v4 entries (an EBPT2 [.trace]
-    plus an [.ebpt3] sidecar) are never looked up again — the GC evicts
-    their [.trace] files by age, and leftover [.ebpt3] files are not
-    cache entries any more (delete them by hand).
+    constant and orphans (rather than misparses) old entries. v6 moved
+    the trace to EBPT4 and the index to EBPW3, both byte-width columns;
+    v5 entries (EBPT3 traces, EBPW2 indexes) are never looked up again —
+    the GC evicts them by age.
 
     {2 Storage and integrity}
 
@@ -174,6 +173,11 @@ val entries : dir:string -> entry list
 (** Every cache-owned regular file in [dir] (unrecognised names are left
     alone), sorted oldest mtime first, ties broken by name — i.e. in
     eviction order. An unreadable directory is an empty list. *)
+
+val entry_events : dir:string -> entry -> int option
+(** The event count recorded in the header of a trace or index entry
+    ([ebp cache ls] divides bytes by it); [None] for other kinds, or
+    when the header cannot be read or is not of the current format. *)
 
 val clear : dir:string -> int * int
 (** Remove every entry, temp files and quarantined corpses included.

@@ -284,7 +284,7 @@ type t = {
   wide_words : int array;
   (* Every write (narrow and wide), keyed by pc; each write appears
      exactly once, so the concatenated data is a permutation of all
-     write positions. Added in EBPW2 for the query engine. *)
+     write positions; the query engine's posting. *)
   pc_writes : posting;
   (* Per interned object, its install/remove timeline: stride-3 records
      ((event lsl 1) lor tag, lo, hi) with tag 0 = install, 1 = remove.
@@ -295,7 +295,7 @@ type t = {
   pages : page_view array;
 }
 
-let codec_version = "EBPW2"
+let codec_version = "EBPW3"
 
 let log2_exact n =
   let rec go i v = if v = 1 then i else go (i + 1) (v lsr 1) in
@@ -662,21 +662,18 @@ let equal (a : t) (b : t) = a = b
 
 (* --- binary codec --- *)
 
-(* 8-byte LE ints, whole structure built in (or parsed from) one string:
-   the in-memory form is what Trace_cache seals under a CRC trailer, so
-   the codec never touches a channel except through thin wrappers.
+(* EBPW3: the magic, then 8-byte LE ints and frame-of-reference arrays
+   ({!Byte_column}): each array is its length, its base and its width
+   byte, then length x width bytes. Seven zero bytes end the image, so
+   every array element's 8-byte load and store stays inside it. The
+   whole structure is built in (or parsed from) one string: the
+   in-memory form is what Trace_cache seals under a CRC trailer, so the
+   codec never touches a channel except through thin wrappers.
 
-   [serialize] walks the structure once per pass: a sizing pass adds up
-   the bytes, then the writing pass fills one exact-size buffer — no
-   growth, no final copy, however large the index. *)
-
-(* Unchecked word access for the array loops, which bounds-check a whole
-   run up front: on these primitives the loops run about twice as fast
-   as through the stdlib's checked [get_int64_le]/[set_int64_le]. The
-   words are little-endian; a big-endian host swaps them. *)
-external get64u : string -> int -> int64 = "%caml_string_get64u"
-external set64u : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
-external swap64 : int64 -> int64 = "%bswap_int64"
+   [serialize] walks the structure once per pass: a sizing pass frames
+   every array and adds up the bytes, then the writing pass fills one
+   exact-size buffer — no growth, no final copy, however large the
+   index. *)
 
 let serialize t ~int ~array =
   let posting p =
@@ -701,32 +698,44 @@ let serialize t ~int ~array =
       array v.wide_pages)
     t.pages
 
+let magic_len = String.length codec_version
+
 let to_bytes ~reserve t =
-  let size = ref (String.length codec_version) in
+  let frames = Queue.create () in
+  let size = ref (magic_len + Byte_column.pad) in
   serialize t
     ~int:(fun _ -> size := !size + 8)
-    ~array:(fun a -> size := !size + (8 * (Array.length a + 1)));
+    ~array:(fun a ->
+      let n = Array.length a in
+      let ((_, width) as frame) = Byte_column.frame n (Array.unsafe_get a) in
+      Queue.add frame frames;
+      size := !size + 8 + 8 + 1 + (n * width));
   let b = Bytes.create (!size + reserve) in
-  Bytes.blit_string codec_version 0 b 0 (String.length codec_version);
-  let pos = ref (String.length codec_version) in
+  Bytes.blit_string codec_version 0 b 0 magic_len;
+  let pos = ref magic_len in
   let int v =
     Bytes.set_int64_le b !pos (Int64.of_int v);
     pos := !pos + 8
   in
   serialize t ~int ~array:(fun a ->
       let n = Array.length a in
+      let base, width = Queue.pop frames in
       int n;
-      let base = !pos in
-      for i = 0 to n - 1 do
-        let w = Int64.of_int (Array.unsafe_get a i) in
-        set64u b (base + (8 * i)) (if Sys.big_endian then swap64 w else w)
-      done;
-      pos := base + (8 * n));
+      int base;
+      Bytes.set_uint8 b !pos width;
+      Byte_column.write b ~pos:(!pos + 1) ~base ~width n (Array.unsafe_get a);
+      pos := !pos + 1 + (n * width));
+  Bytes.fill b !pos Byte_column.pad '\x00';
   b
 
 let encode t = Bytes.unsafe_to_string (to_bytes ~reserve:0 t)
 
 let write_binary oc t = output_string oc (encode t)
+
+let header_events s =
+  if String.length s < magic_len + 8 || String.sub s 0 magic_len <> codec_version
+  then None
+  else Some (Int64.to_int (String.get_int64_le s magic_len))
 
 exception Malformed of string
 
@@ -755,17 +764,19 @@ let decode ?len s =
       in
       let read_array () =
         let n = read_int () in
-        (* At most (len - pos) / 8 elements can be present: clamping here
-           bounds the allocation a corrupt count can drive. *)
-        if n < 0 || n > (len - !pos) / 8 then raise (Malformed "bad array length");
-        let base = !pos in
-        let arr = Array.make n 0 in
-        for i = 0 to n - 1 do
-          let w = get64u s (base + (i * 8)) in
-          Array.unsafe_set arr i
-            (Int64.to_int (if Sys.big_endian then swap64 w else w))
-        done;
-        pos := base + (n * 8);
+        let base = read_int () in
+        if !pos >= len then raise (Malformed "truncated array");
+        let width = Char.code (String.unsafe_get s !pos) in
+        if not (Byte_column.valid_width width) then
+          raise (Malformed "bad array width");
+        incr pos;
+        (* Every element's load must end inside the image, pad included:
+           clamping the count here also bounds the allocation a corrupt
+           count can drive. *)
+        if n < 0 || n > (len - Byte_column.pad - !pos) / width then
+          raise (Malformed "bad array length");
+        let arr = Byte_column.read s ~pos:!pos ~base ~width n in
+        pos := !pos + (n * width);
         arr
       in
       let check_monotone what arr =
@@ -828,7 +839,8 @@ let decode ?len s =
                   raise (Malformed "bad wide-page list length");
                 { page_size; page_shift; page_writes; page_spans; wide_pages })
           in
-          if !pos <> len then Error "trailing bytes in write index"
+          if !pos + Byte_column.pad <> len then
+            Error "trailing bytes in write index"
           else
             Ok
               {

@@ -241,12 +241,14 @@ val equal : t -> t -> bool
     round-tripped through the codec is [equal] to the original. *)
 
 val codec_version : string
-(** Codec magic ("EBPW2" — EBPW1 plus the pc posting; bump-safe cache
-    keying hashes this in, so stale EBPW1 entries simply orphan). *)
+(** Codec magic ("EBPW3"; bump-safe cache keying hashes this in, so
+    stale entries of earlier versions simply orphan). *)
 
 val encode : t -> string
-(** Serialize to the flat binary form (magic, then 8-byte LE ints and
-    length-prefixed arrays), sized exactly and written once. *)
+(** Serialize to the flat binary form: the magic, then 8-byte LE ints
+    and frame-of-reference arrays (length, base, width byte, then
+    length x width bytes; see {!Byte_column}), then 7 zero pad bytes.
+    Sized exactly and written once. *)
 
 val to_bytes : reserve:int -> t -> bytes
 (** The {!encode} image followed by [reserve] uninitialised bytes, in one
@@ -257,14 +259,20 @@ val decode : ?len:int -> string -> (t, string) result
 (** Inverse of {!encode}, over the first [len] bytes of the string
     (default: all of it) — so a sealed cache image decodes in place,
     trailer and all. Hardened against adversarial input: every length is
-    clamped against the bytes actually present, posting/object offsets
-    are validated, trailing bytes are rejected, and no input makes it
+    clamped against the bytes actually present, every width byte must be
+    1 to 8, posting/object offsets are validated, a missing pad or
+    trailing bytes are rejected, and no input makes it
     raise (it returns [Error _]). Evaluates the
     [write_index.codec.decode] fault point.
     @raise Invalid_argument if [len] is outside the string. *)
 
 val write_binary : out_channel -> t -> unit
 (** [output_string oc (encode t)]. *)
+
+val header_events : string -> int option
+(** The event count in the header of an {!encode} image, given at least
+    its first 13 bytes; [None] when they do not start one. Nothing else
+    is checked. *)
 
 val read_binary : in_channel -> (t, string) result
 (** [decode] of the channel's remaining contents (reads to EOF). *)

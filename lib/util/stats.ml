@@ -12,11 +12,16 @@ type summary = {
 let check_nonempty name xs =
   if Array.length xs = 0 then invalid_arg ("Stats." ^ name ^ ": empty input")
 
-let percentile xs p =
-  check_nonempty "percentile" xs;
-  if p < 0.0 || p > 100.0 then invalid_arg "Stats.percentile: p outside [0,100]";
+let sorted_copy xs =
   let sorted = Array.copy xs in
   Array.sort Float.compare sorted;
+  sorted
+
+let check_pct p =
+  if p < 0.0 || p > 100.0 then invalid_arg "Stats.percentile: p outside [0,100]"
+
+(* [percentile] over an already sorted, non-empty array. *)
+let percentile_sorted sorted p =
   let n = Array.length sorted in
   if n = 1 then sorted.(0)
   else begin
@@ -26,6 +31,11 @@ let percentile xs p =
     let frac = rank -. float_of_int lo in
     (sorted.(lo) *. (1.0 -. frac)) +. (sorted.(hi) *. frac)
   end
+
+let percentile xs p =
+  check_nonempty "percentile" xs;
+  check_pct p;
+  percentile_sorted (sorted_copy xs) p
 
 let mean xs =
   check_nonempty "mean" xs;
@@ -40,24 +50,33 @@ let stddev xs =
   in
   sqrt var
 
-let trimmed_mean xs ~lo_pct ~hi_pct =
-  check_nonempty "trimmed_mean" xs;
-  let lo = percentile xs lo_pct and hi = percentile xs hi_pct in
+(* The kept values are summed in their original order, as they always
+   were: the sort only locates the percentile bounds. *)
+let trimmed_mean_sorted xs sorted ~lo_pct ~hi_pct =
+  let lo = percentile_sorted sorted lo_pct
+  and hi = percentile_sorted sorted hi_pct in
   let kept = Array.of_list (List.filter (fun x -> lo <= x && x <= hi) (Array.to_list xs)) in
   if Array.length kept = 0 then mean xs else mean kept
+
+let trimmed_mean xs ~lo_pct ~hi_pct =
+  check_nonempty "trimmed_mean" xs;
+  check_pct lo_pct;
+  check_pct hi_pct;
+  trimmed_mean_sorted xs (sorted_copy xs) ~lo_pct ~hi_pct
 
 let summarize xs =
   check_nonempty "summarize" xs;
   let min = Array.fold_left Float.min xs.(0) xs in
   let max = Array.fold_left Float.max xs.(0) xs in
+  let sorted = sorted_copy xs in
   {
     n = Array.length xs;
     min;
     max;
     mean = mean xs;
-    t_mean = trimmed_mean xs ~lo_pct:10.0 ~hi_pct:90.0;
-    p90 = percentile xs 90.0;
-    p98 = percentile xs 98.0;
+    t_mean = trimmed_mean_sorted xs sorted ~lo_pct:10.0 ~hi_pct:90.0;
+    p90 = percentile_sorted sorted 90.0;
+    p98 = percentile_sorted sorted 98.0;
     stddev = stddev xs;
   }
 

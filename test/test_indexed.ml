@@ -251,6 +251,78 @@ let test_codec_mutation_fuzz () =
     done
   done
 
+(* Byte-width arrays: the first array of an image (the word posting's
+   keys, lo lsr 2) gets 1, 2, 3, 4, 5 and 8 bytes across these traces;
+   every array of each must round-trip. *)
+let first_width_off = 5 + 8 + 8 + 8 + 8
+
+let test_codec_width_classes () =
+  let g = Object_desc.Global { var = "g" } in
+  let trace los =
+    let b = Trace.Builder.create () in
+    List.iter (fun lo -> Trace.Builder.add_install b g (iv lo (lo + 3))) los;
+    List.iteri
+      (fun i lo -> Trace.Builder.add_write b (iv lo (lo + 3 + (i mod 2))) ~pc:(i - 1))
+      los;
+    Trace.Builder.finish b
+  in
+  let spread lo range = [ lo; lo + (range / 3); lo + range ] in
+  List.iter
+    (fun (name, key_width, t) ->
+      let index = Write_index.build ~page_sizes t in
+      let image = Write_index.encode index in
+      (match key_width with
+      | Some w ->
+          Alcotest.(check int) (name ^ ": key width") w
+            (Char.code image.[first_width_off])
+      | None -> ());
+      match Write_index.decode image with
+      | Error e -> Alcotest.failf "%s: decode failed: %s" name e
+      | Ok index' ->
+          Alcotest.(check bool) (name ^ ": equal") true (Write_index.equal index index'))
+    [
+      ("1 byte", Some 1, trace (spread 100 200));
+      ("2 bytes", Some 2, trace (spread 4096 60_000));
+      ("3 bytes", Some 3, trace (spread 65536 (1 lsl 22)));
+      ("4 bytes", Some 4, trace (spread 0 (1 lsl 30)));
+      ("past 2^32", Some 5, trace (spread (1 lsl 32) (1 lsl 34)));
+      ("8 bytes", Some 8, trace [ min_int; 0; max_int - 7 ]);
+      ("one write", Some 1, trace [ 64 ]);
+      ("empty", None, trace []);
+    ]
+
+let test_codec_width_rejects () =
+  let trace =
+    let b = Trace.Builder.create () in
+    Array.iter
+      (fun (o, range) ->
+        Trace.Builder.add_install b o range;
+        Trace.Builder.add_write b range ~pc:1)
+      objects;
+    Trace.Builder.finish b
+  in
+  let valid = Write_index.encode (Write_index.build ~page_sizes trace) in
+  let edit f =
+    let b = Bytes.of_string valid in
+    f b;
+    Bytes.unsafe_to_string b
+  in
+  let expect what image =
+    let before = Gc.allocated_bytes () in
+    (match Write_index.decode image with
+    | Ok _ -> Alcotest.failf "decoded %s" what
+    | Error _ -> ());
+    if Gc.allocated_bytes () -. before > 1e6 then
+      Alcotest.failf "%s: decoder allocated %.0f bytes" what
+        (Gc.allocated_bytes () -. before)
+  in
+  expect "width byte 0" (edit (fun b -> Bytes.set b first_width_off '\x00'));
+  expect "width byte 9" (edit (fun b -> Bytes.set b first_width_off '\x09'));
+  expect "a count larger than the bytes present"
+    (edit (fun b ->
+         Bytes.set_int64_le b (first_width_off - 16) (Int64.of_int (1 lsl 40))));
+  expect "a missing pad" (String.sub valid 0 (String.length valid - 7))
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "indexed"
@@ -262,6 +334,8 @@ let () =
         [
           q prop_codec_round_trip;
           Alcotest.test_case "mutation fuzz" `Quick test_codec_mutation_fuzz;
+          Alcotest.test_case "width classes" `Quick test_codec_width_classes;
+          Alcotest.test_case "width rejects" `Quick test_codec_width_rejects;
         ] );
       ( "pack guard",
         [

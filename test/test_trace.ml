@@ -373,6 +373,13 @@ let big_sample ?(events = 10_000) () =
   Trace.Builder.add_remove b obj (iv 4096 8191);
   Trace.Builder.finish b
 
+(* The four column widths (w0, lo, hi - lo, pc) an EBPT4 image's header
+   records, one byte each in its 13th word. *)
+let widths_off = 8 + (8 * 12)
+
+let column_widths image =
+  List.init 4 (fun j -> Char.code image.[widths_off + j])
+
 let test_columnar_roundtrip () =
   List.iter
     (fun t ->
@@ -466,11 +473,16 @@ let test_columnar_map_rejects_damage () =
       expect_error "a truncated file";
       write ("ZZZZZZZZ" ^ String.sub valid 8 (String.length valid - 8));
       expect_error "a bad magic";
-      (* Flip a bit in the w0 column's first word: the tag/object check
-         walks the whole column even without the payload CRC. *)
+      (* Saturate the w0 column's first element: base + mask is an
+         invalid tag or object id whatever the base, and the tag/object
+         check walks the whole column even without the payload CRC. *)
       let b = Bytes.of_string valid in
-      let w0_off = String.length valid - 12 - (8 * 4 * Trace.length t) in
-      Bytes.set b (w0_off + 7) '\x40';
+      let widths = column_widths valid in
+      let w0_off =
+        String.length valid - 12 - 7
+        - (Trace.length t * List.fold_left ( + ) 0 widths)
+      in
+      Bytes.fill b w0_off (List.hd widths) '\xff';
       write (Bytes.unsafe_to_string b);
       expect_error "a corrupt w0 column";
       write valid;
@@ -503,6 +515,112 @@ let test_columnar_mapped_skipping () =
             ~on_skip:(fun ~writes:_ -> Alcotest.fail "skipped despite false")
             (fun ~tag:_ ~obj:_ ~lo:_ ~hi:_ ~pc:_ -> incr n);
           Alcotest.(check int) "all events" (Trace.length m) !n)
+
+(* --- byte-width columns: one trace per width class --- *)
+
+(* Traces whose lo column needs 1, 2, 3, 4, 5 and 8 bytes, with the edge
+   shapes alongside: a write with pc = -1, a range whose hi - lo wraps
+   past max_int, a constant column, one event, none. *)
+let width_class_traces () =
+  let g = Object_desc.Global { var = "g" } in
+  let writes los ~pc =
+    let b = Trace.Builder.create () in
+    Trace.Builder.add_install b g (iv (List.hd los) (List.hd los + 3));
+    List.iteri
+      (fun i lo -> Trace.Builder.add_write b (iv lo (lo + (i mod 4))) ~pc:(pc i))
+      los;
+    Trace.Builder.finish b
+  in
+  let spread lo range = [ lo; lo + (range / 3); lo + range ] in
+  let one_event =
+    let b = Trace.Builder.create () in
+    Trace.Builder.add_write b (iv min_int max_int) ~pc:(-1);
+    Trace.Builder.finish b
+  in
+  let constant =
+    let b = Trace.Builder.create () in
+    for _ = 1 to 100 do
+      Trace.Builder.add_write b (iv 4096 4099) ~pc:5
+    done;
+    Trace.Builder.finish b
+  in
+  [
+    ("1 byte", Some 1, writes (spread 100 200) ~pc:Fun.id);
+    ("2 bytes", Some 2, writes (spread 4096 60_000) ~pc:(fun i -> 1000 * i));
+    ("3 bytes", Some 3, writes (spread 65536 (1 lsl 22)) ~pc:(fun _ -> -1));
+    ("4 bytes", Some 4, writes (spread 0 (1 lsl 30)) ~pc:(fun i -> i - 1));
+    ("past 2^32", Some 5, writes (spread (1 lsl 32) (1 lsl 33)) ~pc:Fun.id);
+    ("8 bytes", Some 8, writes [ min_int; 0; max_int - 3 ] ~pc:(fun i -> max_int - i));
+    ("one event", Some 1, one_event);
+    ("constant", Some 1, constant);
+    ("empty", None, Trace.Builder.finish (Trace.Builder.create ()));
+  ]
+
+let with_image image f =
+  let path = Filename.temp_file "ebp_columnar" ".trace" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc image);
+      f path)
+
+let test_columnar_width_classes () =
+  List.iter
+    (fun (name, lo_width, t) ->
+      let image = Trace.encode_columnar ~meta:name t in
+      (match lo_width with
+      | Some w -> Alcotest.(check int) (name ^ ": lo width") w (List.nth (column_widths image) 1)
+      | None -> ());
+      let same what = function
+        | Error e -> Alcotest.failf "%s: %s failed: %s" name what e
+        | Ok (t2, meta) ->
+            Alcotest.(check string) (name ^ ": meta via " ^ what) name meta;
+            Alcotest.(check bool) (name ^ ": rows via " ^ what) true (traces_equal t t2)
+      in
+      same "decode_columnar" (Trace.decode_columnar image);
+      with_image image (fun path ->
+          same "map_columnar" (Trace.map_columnar path);
+          same "map_columnar ~verify" (Trace.map_columnar ~verify:true path)))
+    (width_class_traces ())
+
+(* Recompute an edited image's CRC, so only the edit itself is wrong. *)
+let reseal image =
+  let b = Bytes.of_string image in
+  let body_len = Bytes.length b - 12 in
+  Bytes.set_int64_le b (body_len + 4)
+    (Int64.of_int (Ebp_util.Crc32.sub image ~pos:0 ~len:body_len));
+  Bytes.unsafe_to_string b
+
+let test_columnar_width_rejects () =
+  let valid = Trace.encode_columnar (build_sample ()) in
+  let edit f =
+    let b = Bytes.of_string valid in
+    f b;
+    reseal (Bytes.unsafe_to_string b)
+  in
+  let expect what image =
+    let before = Gc.allocated_bytes () in
+    (match Trace.decode_columnar image with
+    | Ok _ -> Alcotest.failf "decoded %s" what
+    | Error _ -> ());
+    if Gc.allocated_bytes () -. before > 1e6 then
+      Alcotest.failf "%s: decoder allocated %.0f bytes" what
+        (Gc.allocated_bytes () -. before);
+    with_image image (fun path ->
+        match Trace.map_columnar path with
+        | Ok _ -> Alcotest.failf "mapped %s" what
+        | Error _ -> ())
+  in
+  expect "width byte 0" (edit (fun b -> Bytes.set b (widths_off + 1) '\x00'));
+  expect "width byte 9" (edit (fun b -> Bytes.set b (widths_off + 1) '\x09'));
+  expect "a count larger than the bytes present"
+    (edit (fun b ->
+         let count = 1 lsl 40 in
+         Bytes.set_int64_le b 8 (Int64.of_int count);
+         Bytes.set_int64_le b 48 (Int64.of_int ((count + 4095) / 4096))));
+  let n = String.length valid in
+  expect "a missing pad"
+    (reseal (String.sub valid 0 (n - 19) ^ String.sub valid (n - 12) 12))
 
 let test_columnar_byte_counters () =
   let module Metrics = Ebp_obs.Metrics in
@@ -728,6 +846,8 @@ let () =
           Alcotest.test_case "mapped block skipping" `Quick
             test_columnar_mapped_skipping;
           Alcotest.test_case "byte counters" `Quick test_columnar_byte_counters;
+          Alcotest.test_case "width classes" `Quick test_columnar_width_classes;
+          Alcotest.test_case "width rejects" `Quick test_columnar_width_rejects;
         ] );
       ( "recorder",
         [
