@@ -593,7 +593,7 @@ let run_robustness (w : Ebp_workloads.Workload.t) =
     | Error msg -> failwith ("robustness bench: " ^ msg)
   in
   let trace = run.Workload.trace in
-  let encoded = Trace.encode_columnar trace in
+  let encoded = Trace.encode trace in
   let mb = float_of_int (String.length encoded) /. 1048576.0 in
   let reps = 20 in
   let crc = ref 0 in
@@ -1220,7 +1220,7 @@ let run_store traces =
                let decoded, decode_ms, decode_alloc =
                  timed_alloc (fun () ->
                      match
-                       Trace.decode_columnar
+                       Trace.decode
                          (In_channel.with_open_bin entry In_channel.input_all)
                      with
                      | Ok (t, _) -> t

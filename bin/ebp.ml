@@ -46,6 +46,23 @@ let read_file path =
       (fun () -> really_input_string ic (in_channel_length ic))
   with Sys_error msg -> exit_err (Printf.sprintf "cannot read %S: %s" path msg)
 
+(* A [--from-trace] file: whatever [ebp] writes, told apart by its magic
+   and fully checked — an EBPT4 image ([trace -o], a cache entry) by its
+   CRC, an EBPB1 stream by its block CRCs and fin record. *)
+let read_trace_file path =
+  if not (Sys.file_exists path) then
+    exit_err (Printf.sprintf "no trace file %S" path);
+  let data = read_file path in
+  let starts_with magic = String.starts_with ~prefix:magic data in
+  match
+    if starts_with Ebp_trace.Trace.codec_version then
+      Result.map fst (Ebp_trace.Trace.decode data)
+    else if starts_with Ebp_trace.Stream.magic then Ebp_trace.Stream.read data
+    else Error "bad trace magic"
+  with
+  | Ok t -> t
+  | Error msg -> exit_err ("bad trace file: " ^ msg)
+
 let source_of_arg arg =
   match Ebp_workloads.Workload.by_name arg with
   | Some w -> Ok (w.Ebp_workloads.Workload.source, w.Ebp_workloads.Workload.seed)
@@ -192,7 +209,9 @@ let trace_cmd =
       value
       & opt (some string) None
       & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Write a binary trace to $(docv) instead of a summary to stdout.")
+          ~doc:
+            "Write the trace to $(docv) instead of a summary to stdout, as \
+             a CRC-sealed EBPT4 image (the format of a cache entry).")
   in
   let text_arg =
     Arg.(value & flag & info [ "text" ] ~doc:"Dump the trace as text to stdout.")
@@ -422,8 +441,10 @@ let sessions_cmd =
       value
       & opt (some string) None
       & info [ "from-trace" ] ~docv:"FILE"
-          ~doc:"Replay a saved binary trace instead of running anything; the \
-                positional argument is ignored.")
+          ~doc:
+            "Replay a saved trace instead of running anything: an \
+             $(b,ebp trace -o) or $(b,--stream) file, or a cache entry \
+             ($(i,KEY).trace). The positional argument is ignored.")
   in
   let f target all from engine approaches faults metrics trace_events =
     with_faults faults @@ fun () ->
@@ -442,12 +463,7 @@ let sessions_cmd =
     in
     let trace =
       match from with
-      | Some path -> (
-          if not (Sys.file_exists path) then
-            exit_err (Printf.sprintf "no trace file %S" path);
-          match Ebp_trace.Trace.decode (read_file path) with
-          | Ok t -> t
-          | Error msg -> exit_err ("bad trace file: " ^ msg))
+      | Some path -> read_trace_file path
       | None -> (
           match source_of_arg target with
           | Error msg -> exit_err msg
@@ -499,8 +515,10 @@ let query_cmd =
       value
       & opt (some string) None
       & info [ "from-trace" ] ~docv:"FILE"
-          ~doc:"Query a saved binary trace instead of running anything; the \
-                positional target is ignored.")
+          ~doc:
+            "Query a saved trace instead of running anything: an \
+             $(b,ebp trace -o) or $(b,--stream) file, or a cache entry \
+             ($(i,KEY).trace). The positional target is ignored.")
   in
   let qengine_arg =
     Arg.(
@@ -570,12 +588,7 @@ let query_cmd =
        path, which is what guarantees the index entry describes it. *)
     let trace, trace_key =
       match from with
-      | Some path -> (
-          if not (Sys.file_exists path) then
-            exit_err (Printf.sprintf "no trace file %S" path);
-          match Ebp_trace.Trace.decode (read_file path) with
-          | Ok t -> (t, None)
-          | Error msg -> exit_err ("bad trace file: " ^ msg))
+      | Some path -> (read_trace_file path, None)
       | None -> (
           match source_of_arg target with
           | Error msg -> exit_err msg

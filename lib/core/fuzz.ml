@@ -14,11 +14,11 @@
    [Machine.run] vs the single-[step] loop (independent execution loops),
    recorded vs unrecorded execution (tracing must not perturb the run),
    the five paper strategies armed identically over the same program
-   (identical (pc, interval) notification sequences), the EBPT2, EBPT4
-   and EBPW3 codec round-trips, the scan vs indexed replay engines, and
-   the query language's compiled vs streaming engines (random well-typed
-   queries drawn from the trace's own pcs, addresses and discovered
-   sessions).
+   (identical (pc, interval) notification sequences), the EBPT4 trace
+   codec (decoded and mapped) and EBPW3 index codec round-trips, the
+   scan vs indexed replay engines, and the query language's compiled vs
+   streaming engines (random well-typed queries drawn from the trace's
+   own pcs, addresses and discovered sessions).
 
    Beyond fuzzing, [generate] doubles as a workload synthesizer: knobs
    append deterministic extra source units — hot write loops, heap
@@ -462,28 +462,31 @@ let check_source ?(fuel = default_fuel) ~seed source =
     | Ok () -> Ok ()
     | Error detail -> Error ("strategy-equivalence", detail, None)
   in
+  (* The one trace codec: a fully-checked decode round-trips the meta and
+     re-encodes to identical bytes, and the unverified mmap fast path (the
+     production warm load) reads the same image back to the same events. *)
   let* () =
-    let bytes = Trace.encode trace in
+    let bytes = Trace.encode ~meta:"fuzz" trace in
     match Trace.decode bytes with
     | Error msg -> fail "trace-codec" "decode: %s" msg
-    | Ok trace' ->
-        if Trace.encode trace' <> bytes then
-          fail "trace-codec" "round-trip: re-encoded bytes differ"
-        else Ok ()
-  in
-  (* The columnar codec must agree with the canonical EBPT2 bytes: a
-     fully-checked decode of the EBPT4 image round-trips the metadata and
-     re-encodes (canonically) to the same EBPT2 bytes. *)
-  let* () =
-    let bytes = Trace.encode_columnar ~meta:"fuzz" trace in
-    match Trace.decode_columnar bytes with
-    | Error msg -> fail "columnar-codec" "decode: %s" msg
     | Ok (trace', meta) ->
         if meta <> "fuzz" then
-          fail "columnar-codec" "meta: %S round-tripped as %S" "fuzz" meta
-        else if Trace.encode trace' <> Trace.encode trace then
-          fail "columnar-codec" "round-trip: canonical bytes differ"
-        else Ok ()
+          fail "trace-codec" "meta: %S round-tripped as %S" "fuzz" meta
+        else if Trace.encode ~meta trace' <> bytes then
+          fail "trace-codec" "round-trip: re-encoded bytes differ"
+        else
+          let path = Filename.temp_file "ebp_fuzz" ".trace" in
+          Fun.protect
+            ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+          @@ fun () ->
+          Out_channel.with_open_bin path (fun oc ->
+              Out_channel.output_string oc bytes);
+          match Trace.map_file path with
+          | Error msg -> fail "trace-codec" "map: %s" msg
+          | Ok (mapped, _) ->
+              if Trace.encode ~meta mapped <> bytes then
+                fail "trace-codec" "map: events differ from decode"
+              else Ok ()
   in
   let page_sizes = Replay.default_page_sizes in
   let* index =

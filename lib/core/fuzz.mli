@@ -3,7 +3,7 @@
 
     A seed deterministically generates a small, always-terminating MiniC
     program (bounded loops, masked recursion depth and subscripts,
-    constant divisors), which is then pushed through ten oracles:
+    constant divisors), which is then pushed through nine oracles:
 
     + {b record} — it compiles, runs without a runtime error, and halts
       with exit code 0;
@@ -15,9 +15,11 @@
       TP, CP, VB), armed on the same globals over the same program, all
       arm cleanly and report identical (pc, interval) notification
       sequences;
-    + {b trace-codec} / {b columnar-codec} / {b index-codec} — the
-      EBPT2, EBPT4 and EBPW3 codecs round-trip the recording
-      bit-identically;
+    + {b trace-codec} — the EBPT4 trace codec round-trips the recording
+      and its meta bit-identically, and the unverified mmap load of the
+      same image reads the same events;
+    + {b index-codec} — the EBPW3 write-index codec round-trips the
+      index built from the recording;
     + {b stream-vs-batch} — the streaming recorder reproduces the batch
       trace byte-for-byte with an incremental index equal to the batch
       build;

@@ -38,7 +38,7 @@ let pp ppf = function
 
 let to_string t = Format.asprintf "%a" pp t
 
-(* Inverse of [pp]; used by the text trace codec. *)
+(* Inverse of [pp]; the EBPB1 stream stores descriptors in this form. *)
 let of_string s =
   let split_once sep str =
     match String.index_opt str sep with

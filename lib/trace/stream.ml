@@ -8,8 +8,8 @@
               payload bytes
               CRC-32 of the payload, 4 bytes LE
 
-   Block payload (struct-of-arrays, EBPT2's column encodings restarted
-   per block so every block decodes independently):
+   Block payload (struct-of-arrays LEB128 varint columns, the delta
+   chains restarted per block so every block decodes independently):
 
      uvarint ndescs, then per new object: uvarint length + descriptor
        (objects appear in the block where they are registered, in id

@@ -12,7 +12,9 @@
     A completed stream {!read} back is byte-identical (under
     {!Trace.encode}) to the trace the batch recorder would have built
     from the same run — the blocks carry exactly the builder's packed
-    events and descriptor table, split at block boundaries. *)
+    events and descriptor table, split at block boundaries. A completed
+    stream file is also a [--from-trace] input, loaded with the strict
+    {!read}. *)
 
 val magic : string
 (** File magic ("EBPB1"). *)

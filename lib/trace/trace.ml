@@ -16,8 +16,7 @@ let tag_write = 2
 (* Two physical layouts behind one abstract type:
 
    - [Heap]: the classic interleaved [int array] (4 ints per event). The
-     builder, the text codec, and the EBPT2 binary decoder all produce
-     this form.
+     builder and the fully-checked {!decode} produce this form.
    - [Mapped]: the EBPT4 columnar form — four struct-of-arrays
      byte-width columns (see {!Byte_column}) read in place from an
      mmap'd file, plus per-block min/max summaries. Nothing is decoded on
@@ -305,7 +304,7 @@ let pp_stats ppf s =
     "events=%d installs=%d removes=%d writes=%d objects=%d write_bytes=%d"
     s.events s.installs s.removes s.writes s.distinct_objects s.write_bytes
 
-(* --- text codec --- *)
+(* --- text printer ([ebp trace --text]) --- *)
 
 let to_text t =
   let buf = Buffer.create (t.count * 24) in
@@ -325,224 +324,18 @@ let to_text t =
       Buffer.add_char buf '\n');
   Buffer.contents buf
 
-let of_text text =
-  let b = Builder.create () in
-  let error = ref None in
-  List.iteri
-    (fun lineno line ->
-      if !error = None && String.trim line <> "" then
-        let fail msg = error := Some (Printf.sprintf "line %d: %s" (lineno + 1) msg) in
-        match String.split_on_char ' ' (String.trim line) with
-        | [ "W"; lo; hi; pc ] -> (
-            match (int_of_string_opt lo, int_of_string_opt hi, int_of_string_opt pc) with
-            | Some lo, Some hi, Some pc when lo <= hi ->
-                Builder.add_write b (Interval.make ~lo ~hi) ~pc
-            | _ -> fail "bad write event")
-        | [ tag; obj; lo; hi ] when tag = "I" || tag = "R" -> (
-            match
-              (Object_desc.of_string obj, int_of_string_opt lo, int_of_string_opt hi)
-            with
-            | Some obj, Some lo, Some hi when lo <= hi ->
-                let range = Interval.make ~lo ~hi in
-                if tag = "I" then Builder.add_install b obj range
-                else Builder.add_remove b obj range
-            | _ -> fail "bad install/remove event")
-        | _ -> fail "unrecognized event")
-    (String.split_on_char '\n' text);
-  match !error with Some msg -> Error msg | None -> Ok (Builder.finish b)
+(* --- the codec: EBPT4, the mmap-able columnar layout ---
 
-(* --- binary codec ---
-
-   EBPT2 is a struct-of-arrays layout: after the header, each event field
-   is one contiguous column, encoded with LEB128 varints.
-
-     magic "EBPT2"
-     uvarint nobjs, then per object: uvarint length + descriptor string
-     uvarint count
-     column 1: w0 (tagged object word) as uvarint, per event
-     column 2: lo, zigzag-varint delta against the previous event's lo
-     column 3: hi - lo as uvarint (store widths: almost always 0 or 3)
-     column 4: pc, zigzag-varint delta against the previous *write*'s pc,
-               write events only (install/remove pcs are -1 by
-               construction and are reconstructed, not stored)
-
-   Both delta chains start from 0. Traces have strong spatial (lo) and
-   code (pc) locality, so a write event typically costs 4-6 bytes against
-   the 32 of the old fixed-width codec. Varints are chains of 7-bit
-   groups, low first, high bit = continuation; zigzag maps sign bit to
-   bit 0 ((v lsl 1) lxor (v asr 62) on 63-bit ints) so small negative
-   deltas stay short. *)
-
-module Metrics = Ebp_obs.Metrics
-module Obs_span = Ebp_obs.Span
-
-let m_bytes_out = Metrics.counter "trace.codec.bytes_out"
-let m_bytes_in = Metrics.counter "trace.codec.bytes_in"
-let m_columnar_out = Metrics.counter "trace.codec.columnar_bytes_out"
-let m_mapped_bytes = Metrics.counter "trace.codec.mapped_bytes"
-
-let codec_version = "EBPT2"
-
-let add_uvarint buf v =
-  let rec go v =
-    if 0 <= v && v < 0x80 then Buffer.add_char buf (Char.unsafe_chr v)
-    else begin
-      Buffer.add_char buf (Char.unsafe_chr (0x80 lor (v land 0x7f)));
-      go (v lsr 7)
-    end
-  in
-  go v
-
-let[@inline] zigzag v = (v lsl 1) lxor (v asr 62)
-let[@inline] unzigzag v = (v lsr 1) lxor (- (v land 1))
-
-let add_svarint buf v = add_uvarint buf (zigzag v)
-
-let encode t =
-  Obs_span.with_span "codec.encode" @@ fun () ->
-  let w0_at = column_getter t 0
-  and lo_at = column_getter t 1
-  and hi_at = column_getter t 2
-  and pc_at = column_getter t 3 in
-  let buf = Buffer.create (64 + (t.count * 6)) in
-  Buffer.add_string buf codec_version;
-  add_uvarint buf (Array.length t.objs);
-  Array.iter
-    (fun obj ->
-      let s = Object_desc.to_string obj in
-      add_uvarint buf (String.length s);
-      Buffer.add_string buf s)
-    t.objs;
-  add_uvarint buf t.count;
-  for i = 0 to t.count - 1 do
-    add_uvarint buf (w0_at i)
-  done;
-  let prev_lo = ref 0 in
-  for i = 0 to t.count - 1 do
-    let lo = lo_at i in
-    add_svarint buf (lo - !prev_lo);
-    prev_lo := lo
-  done;
-  for i = 0 to t.count - 1 do
-    add_uvarint buf (hi_at i - lo_at i)
-  done;
-  let prev_pc = ref 0 in
-  for i = 0 to t.count - 1 do
-    if w0_at i land 3 = tag_write then begin
-      let pc = pc_at i in
-      add_svarint buf (pc - !prev_pc);
-      prev_pc := pc
-    end
-  done;
-  let s = Buffer.contents buf in
-  Metrics.add m_bytes_out (String.length s);
-  s
-
-exception Malformed of string
-
-let p_decode = Ebp_util.Fault.point "trace.codec.decode"
-
-let decode s =
-  Obs_span.with_span "codec.decode" @@ fun () ->
-  match Ebp_util.Fault.fires p_decode with
-  | Some _ -> Error "injected fault at trace.codec.decode"
-  | None ->
-  let len = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Malformed msg) in
-  let next_byte () =
-    if !pos >= len then fail "truncated trace";
-    let b = Char.code (String.unsafe_get s !pos) in
-    incr pos;
-    b
-  in
-  let read_uvarint () =
-    let rec go shift acc =
-      (* 9 groups cover all 63 bits; a longer chain is corrupt. *)
-      if shift > 56 then fail "oversized varint in trace";
-      let b = next_byte () in
-      let acc = acc lor ((b land 0x7f) lsl shift) in
-      if b < 0x80 then acc else go (shift + 7) acc
-    in
-    go 0 0
-  in
-  let read_svarint () = unzigzag (read_uvarint ()) in
-  match
-    if len < String.length codec_version
-       || String.sub s 0 (String.length codec_version) <> codec_version
-    then Error "bad trace magic"
-    else begin
-      pos := String.length codec_version;
-      let nobjs = read_uvarint () in
-      if nobjs < 0 || nobjs > len - !pos then fail "bad object count in trace";
-      let objs =
-        Array.init nobjs (fun _ ->
-            let slen = read_uvarint () in
-            if slen < 0 || slen > len - !pos then fail "truncated trace";
-            let str = String.sub s !pos slen in
-            pos := !pos + slen;
-            match Object_desc.of_string str with
-            | Some o -> o
-            | None -> fail "bad object descriptor in trace")
-      in
-      let count = read_uvarint () in
-      (* Every event spends at least 3 bytes across its columns, so the
-         count is bounded by the remaining payload — this rejects corrupt
-         headers before the allocation below. *)
-      if count < 0 || count > len - !pos then fail "bad event count in trace";
-      let data = Array.make (count * stride) 0 in
-      for i = 0 to count - 1 do
-        let w0 = read_uvarint () in
-        let tag = w0 land 3 in
-        if tag > tag_write then fail "bad event tag in trace";
-        if tag <> tag_write && w0 lsr 2 >= nobjs then
-          fail "bad object id in trace";
-        data.(i * stride) <- w0
-      done;
-      let prev_lo = ref 0 in
-      for i = 0 to count - 1 do
-        let lo = !prev_lo + read_svarint () in
-        data.((i * stride) + 1) <- lo;
-        prev_lo := lo
-      done;
-      for i = 0 to count - 1 do
-        let base = i * stride in
-        data.(base + 2) <- data.(base + 1) + read_uvarint ()
-      done;
-      let prev_pc = ref 0 in
-      for i = 0 to count - 1 do
-        let base = i * stride in
-        if data.(base) land 3 = tag_write then begin
-          let pc = !prev_pc + read_svarint () in
-          data.(base + 3) <- pc;
-          prev_pc := pc
-        end
-        else data.(base + 3) <- -1
-      done;
-      if !pos <> len then fail "trailing bytes in trace";
-      Metrics.add m_bytes_in len;
-      Ok { storage = Heap data; count; objs }
-    end
-  with
-  | result -> result
-  | exception Malformed msg -> Error msg
-
-let write_binary oc t = output_string oc (encode t)
-
-let read_binary ic = decode (In_channel.input_all ic)
-
-(* --- EBPT4: the mmap-able columnar layout ---
-
-   EBPT4 lays the same four columns out as byte-width frame-of-reference
-   columns ({!Byte_column}): each stores its minimum and the fewest bytes
-   (1 to 8) that hold its range, both chosen by the encoder from the
-   data. A warm load is a single [Unix.map_file]: no per-event decode, no
-   OCaml-heap allocation proportional to the trace, and the page cache
-   shares one physical copy across every domain and every process that
-   maps it. Reading a field is one unaligned 8-byte load, a mask and the
+   EBPT4 is the one trace format: the cache entry, the [ebp trace -o]
+   file and a [--from-trace] input. It lays the four event columns out
+   as byte-width frame-of-reference columns ({!Byte_column}): each
+   stores its minimum and the fewest bytes (1 to 8) that hold its range,
+   both chosen by the encoder from the data. A warm load is a single
+   [Unix.map_file]: no per-event decode, no OCaml-heap allocation
+   proportional to the trace, and the page cache shares one physical
+   copy across every domain and every process that maps it. Reading a field is one unaligned 8-byte load, a mask and the
    base; a recorded trace needs 3 + 3 + 1 + 2 bytes per event where the
-   fixed 8-byte words of EBPT3 took 32. EBPT2 remains the exchange
-   format of [ebp trace -o] / [--from-trace].
+   fixed 8-byte words of EBPT3 took 32.
 
      bytes 0-7     magic "EBPT4\0\0\0"
      bytes 8-111   13 header words (8-byte LE):
@@ -563,11 +356,12 @@ let read_binary ic = decode (In_channel.input_all ic)
                    inside the file
      trailer       "EBPZ" + 8-byte LE CRC-32 of everything before it
 
-   [decode_columnar] verifies everything including the CRC (it is what
-   [ebp cache verify] and the fuzzer's columnar oracle run).
-   [map_columnar] is the hot path: it validates the header (widths 1 to 8
-   included), the object table, the exact file length (pad included), the
-   trailer magic, and the whole w0 column (tags and object ids), but —
+   [decode] verifies everything including the CRC (it is what
+   [ebp cache verify], [--from-trace] and the fuzzer's trace-codec oracle
+   run). [map_file] is the hot path: it validates the header (widths 1
+   to 8 included), the object table, the exact file length (pad
+   included), the trailer magic, and the whole w0 column (tags and
+   object ids), but —
    deliberately — not the CRC of the column payload: checksumming the
    payload on every warm load would cost more than the decode it
    replaces. Full-payload integrity is the job of the sealed write path,
@@ -581,26 +375,45 @@ let read_binary ic = decode (In_channel.input_all ic)
    only contribute its write count, never a hit — [iter_raw_skipping]
    above exploits exactly that. *)
 
-let columnar_version = "EBPT4"
-let columnar_magic = "EBPT4\x00\x00\x00"
-let columnar_block_events = 4096
-let columnar_header_words = 13
-let columnar_header_len = 8 + (8 * columnar_header_words)
-let columnar_trailer_magic = "EBPZ"
-let columnar_trailer_len = 12
+module Metrics = Ebp_obs.Metrics
+module Obs_span = Ebp_obs.Span
+
+let m_bytes_out = Metrics.counter "trace.codec.bytes_out"
+let m_bytes_in = Metrics.counter "trace.codec.bytes_in"
+let m_mapped_bytes = Metrics.counter "trace.codec.mapped_bytes"
+
+exception Malformed of string
+
+let add_uvarint buf v =
+  let rec go v =
+    if 0 <= v && v < 0x80 then Buffer.add_char buf (Char.unsafe_chr v)
+    else begin
+      Buffer.add_char buf (Char.unsafe_chr (0x80 lor (v land 0x7f)));
+      go (v lsr 7)
+    end
+  in
+  go v
+
+let codec_version = "EBPT4"
+let magic = "EBPT4\x00\x00\x00"
+let events_per_block = 4096
+let header_words = 13
+let header_len = 8 + (8 * header_words)
+let trailer_magic = "EBPZ"
+let trailer_len = 12
 
 let p_map = Ebp_util.Fault.point "trace.codec.map"
 
 let align8 n = (n + 7) land lnot 7
 
-(* The columnar object table. EBPT2 stores each descriptor's printed
-   form and re-parses it on load; at half a million descriptors
-   (lattice) that parse costs more than mapping every column combined.
-   EBPT4 stores descriptors directly: a pool of the distinct strings
-   (function and variable names repeat across activations, so the pool
-   stays tiny), then per descriptor a tag byte plus varint pool indices
-   and integers. Loading allocates each distinct name once and one
-   record per descriptor — nothing is parsed from text. *)
+(* The object table stores descriptors directly, not their printed
+   form: at half a million descriptors (lattice) re-parsing printed
+   forms on load cost more than mapping every column combined. It is a
+   pool of the distinct strings (function and variable names repeat
+   across activations, so the pool stays tiny), then per descriptor a
+   tag byte plus varint pool indices and integers. Loading allocates
+   each distinct name once and one record per descriptor — nothing is
+   parsed from text. *)
 
 let encode_obj_table objs =
   let body = Buffer.create 256 and pool_buf = Buffer.create 256 in
@@ -726,7 +539,7 @@ let decode_obj_table ~nobjs blob ~pos:pos0 ~objs_end =
    check, so a corrupt summary can never silently disable or misdirect
    block skipping. *)
 let compute_summaries t =
-  let be = columnar_block_events in
+  let be = events_per_block in
   let nblocks = (t.count + be - 1) / be in
   let sums = Array.make (nblocks * 4) 0 in
   let ilo = ref max_int and ihi = ref min_int in
@@ -758,8 +571,8 @@ let stored_columns t =
   let lo = column_getter t 1 and hi = column_getter t 2 in
   [| column_getter t 0; lo; (fun i -> hi i - lo i); column_getter t 3 |]
 
-let encode_columnar ?(meta = "") t =
-  Obs_span.with_span "codec.encode_columnar" @@ fun () ->
+let encode ?(meta = "") t =
+  Obs_span.with_span "codec.encode" @@ fun () ->
   let count = t.count in
   let nobjs = Array.length t.objs in
   let objs_blob = encode_obj_table t.objs in
@@ -769,7 +582,7 @@ let encode_columnar ?(meta = "") t =
   let nblocks = Array.length sums / 4 in
   let columns = stored_columns t in
   let frames = Array.map (Byte_column.frame count) columns in
-  let objs_end = columnar_header_len + meta_len + objs_len in
+  let objs_end = header_len + meta_len + objs_len in
   let data_off = align8 objs_end in
   let cols_off = data_off + (Array.length sums * 8) in
   let cols_end =
@@ -779,17 +592,17 @@ let encode_columnar ?(meta = "") t =
   (* One exact-size allocation, every byte written once: the header,
      the alignment padding, the summaries and columns, the pad, then the
      trailer sealing it in place. *)
-  let buf = Bytes.create (body_len + columnar_trailer_len) in
-  Bytes.blit_string columnar_magic 0 buf 0 8;
+  let buf = Bytes.create (body_len + trailer_len) in
+  Bytes.blit_string magic 0 buf 0 8;
   let set_word pos v = Bytes.set_int64_le buf pos (Int64.of_int v) in
   List.iteri
     (fun i v -> set_word (8 + (8 * i)) v)
-    ([ count; nobjs; meta_len; objs_len; columnar_block_events; nblocks;
+    ([ count; nobjs; meta_len; objs_len; events_per_block; nblocks;
        install_lo; install_hi ]
     @ Array.to_list (Array.map fst frames)
     @ [ Array.fold_right (fun (_, width) acc -> (acc lsl 8) lor width) frames 0 ]);
-  Bytes.blit_string meta 0 buf columnar_header_len meta_len;
-  Bytes.blit_string objs_blob 0 buf (columnar_header_len + meta_len) objs_len;
+  Bytes.blit_string meta 0 buf header_len meta_len;
+  Bytes.blit_string objs_blob 0 buf (header_len + meta_len) objs_len;
   Bytes.fill buf objs_end (data_off - objs_end) '\x00';
   Array.iteri (fun i v -> set_word (data_off + (8 * i)) v) sums;
   let pos = ref cols_off in
@@ -799,16 +612,16 @@ let encode_columnar ?(meta = "") t =
       pos := !pos + (count * width))
     frames;
   Bytes.fill buf cols_end Byte_column.pad '\x00';
-  Bytes.blit_string columnar_trailer_magic 0 buf body_len 4;
+  Bytes.blit_string trailer_magic 0 buf body_len 4;
   set_word (body_len + 4)
     (Ebp_util.Crc32.sub (Bytes.unsafe_to_string buf) ~pos:0 ~len:body_len);
-  Metrics.add m_columnar_out (Bytes.length buf);
+  Metrics.add m_bytes_out (Bytes.length buf);
   Bytes.unsafe_to_string buf
 
 (* Header parsing and structural validation shared by the full decoder
    and the mapping loader. Returns everything needed to locate the
    column region. *)
-type columnar_header = {
+type header = {
   h_count : int;
   h_nobjs : int;
   h_meta_len : int;
@@ -822,12 +635,12 @@ type columnar_header = {
   h_columns : column array;
 }
 
-let parse_columnar_header ~file_len first_bytes =
+let parse_header ~file_len first_bytes =
   (* [first_bytes] must hold at least the fixed header. *)
   let fail msg = raise (Malformed msg) in
-  if file_len < columnar_header_len + columnar_trailer_len then
+  if file_len < header_len + trailer_len then
     fail "columnar trace too short";
-  if String.sub first_bytes 0 8 <> columnar_magic then
+  if String.sub first_bytes 0 8 <> magic then
     fail "bad columnar magic";
   let word i = Int64.to_int (String.get_int64_le first_bytes (8 + (8 * i))) in
   let h_count = word 0 and h_nobjs = word 1 in
@@ -836,10 +649,10 @@ let parse_columnar_header ~file_len first_bytes =
   let h_install_lo = word 6 and h_install_hi = word 7 in
   let widths = word 12 in
   let width j = (widths lsr (8 * j)) land 0xff in
-  let h_body_len = file_len - columnar_trailer_len in
+  let h_body_len = file_len - trailer_len in
   if h_count < 0 || h_nobjs < 0 || h_meta_len < 0 || h_objs_len < 0 then
     fail "negative size in columnar header";
-  if block_events <> columnar_block_events then fail "bad columnar block size";
+  if block_events <> events_per_block then fail "bad columnar block size";
   if h_nblocks <> (h_count + block_events - 1) / block_events then
     fail "bad columnar block count";
   if widths lsr 32 <> 0
@@ -848,7 +661,7 @@ let parse_columnar_header ~file_len first_bytes =
   then fail "bad columnar column width";
   if h_meta_len > h_body_len || h_objs_len > h_body_len - h_meta_len then
     fail "columnar header out of bounds";
-  let h_data_off = align8 (columnar_header_len + h_meta_len + h_objs_len) in
+  let h_data_off = align8 (header_len + h_meta_len + h_objs_len) in
   let event_bytes = width 0 + width 1 + width 2 + width 3 in
   let cols_off = h_data_off + (4 * h_nblocks * 8) in
   if h_count > (h_body_len - h_data_off) / event_bytes
@@ -875,24 +688,24 @@ let check_w0 ~nobjs w0 =
   if tag <> tag_write && w0 lsr 2 >= nobjs then
     raise (Malformed "bad object id in columnar trace")
 
-let decode_columnar s =
-  Obs_span.with_span "codec.decode_columnar" @@ fun () ->
+let decode s =
+  Obs_span.with_span "codec.decode" @@ fun () ->
   let fail msg = raise (Malformed msg) in
   match
     let len = String.length s in
-    let h = parse_columnar_header ~file_len:len s in
+    let h = parse_header ~file_len:len s in
     (* Trailer first: like the cache's sealed entries, corruption is
        caught before anything is sized or decoded from the payload. *)
-    if String.sub s h.h_body_len 4 <> columnar_trailer_magic then
+    if String.sub s h.h_body_len 4 <> trailer_magic then
       fail "missing columnar checksum trailer";
     if String.get_int64_le s (len - 8)
        <> Int64.of_int (Ebp_util.Crc32.sub s ~pos:0 ~len:h.h_body_len)
     then fail "columnar checksum mismatch";
-    let meta = String.sub s columnar_header_len h.h_meta_len in
+    let meta = String.sub s header_len h.h_meta_len in
     let objs =
       decode_obj_table ~nobjs:h.h_nobjs s
-        ~pos:(columnar_header_len + h.h_meta_len)
-        ~objs_end:(columnar_header_len + h.h_meta_len + h.h_objs_len)
+        ~pos:(header_len + h.h_meta_len)
+        ~objs_end:(header_len + h.h_meta_len + h.h_objs_len)
     in
     let data = Array.make (h.h_count * stride) 0 in
     Array.iteri
@@ -942,29 +755,29 @@ let read_file path =
   In_channel.with_open_bin path (fun ic ->
       really_input_string ic (Int64.to_int (In_channel.length ic)))
 
-let map_columnar ?(verify = false) ?(mangle = Fun.id) path =
+let map_file ?(verify = false) ?(mangle = Fun.id) path =
   Obs_span.with_span "codec.map" @@ fun () ->
   (* Raises [Fault.Injected] (a transient, retryable miss — the cache
      reads it as a miss without quarantining) rather than returning
      [Error], which means "this file is bad". *)
   Ebp_util.Fault.check p_map;
   if verify then
-    (* The slow, fully-checked load: everything [decode_columnar]
+    (* The slow, fully-checked load: everything [decode]
        rejects, this rejects. Used under fault injection, where mangled
        bytes are the point. *)
     match read_file path with
     | exception (Sys_error msg) -> Error msg
     | exception End_of_file -> Error "columnar trace shrank while read"
-    | s -> decode_columnar (mangle s)
+    | s -> decode (mangle s)
   else
     match
       let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
       Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
       let file_len = (Unix.fstat fd).Unix.st_size in
-      if file_len < columnar_header_len + columnar_trailer_len then
+      if file_len < header_len + trailer_len then
         raise (Malformed "columnar trace too short");
-      let first = really_read fd (Bytes.create columnar_header_len) in
-      let h = parse_columnar_header ~file_len first in
+      let first = really_read fd (Bytes.create header_len) in
+      let h = parse_header ~file_len first in
       (* meta + object table, read (not mapped): they are small and land
          on the heap as ordinary values either way. *)
       let blob = really_read fd (Bytes.create (h.h_meta_len + h.h_objs_len)) in
@@ -973,9 +786,9 @@ let map_columnar ?(verify = false) ?(mangle = Fun.id) path =
         decode_obj_table ~nobjs:h.h_nobjs blob ~pos:h.h_meta_len
           ~objs_end:(h.h_meta_len + h.h_objs_len)
       in
-      ignore (Unix.lseek fd (file_len - columnar_trailer_len) Unix.SEEK_SET);
+      ignore (Unix.lseek fd (file_len - trailer_len) Unix.SEEK_SET);
       let trailer = really_read fd (Bytes.create 4) in
-      if trailer <> columnar_trailer_magic then
+      if trailer <> trailer_magic then
         raise (Malformed "missing columnar checksum trailer");
       (* Summaries, columns and pad: never empty, the pad alone is 7
          bytes, and every column load ends inside it. *)
@@ -997,7 +810,7 @@ let map_columnar ?(verify = false) ?(mangle = Fun.id) path =
           m_span = col 2;
           m_pc = col 3;
           m_nblocks = h.h_nblocks;
-          m_block_events = columnar_block_events;
+          m_block_events = events_per_block;
           m_install_lo = h.h_install_lo;
           m_install_hi = h.h_install_hi;
         }
@@ -1017,6 +830,6 @@ let map_columnar ?(verify = false) ?(mangle = Fun.id) path =
     | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
     | exception Sys_error msg -> Error msg
 
-let columnar_events s =
-  if String.length s < 16 || String.sub s 0 8 <> columnar_magic then None
+let header_events s =
+  if String.length s < 16 || String.sub s 0 8 <> magic then None
   else Some (Int64.to_int (String.get_int64_le s 8))

@@ -13,7 +13,10 @@
 
     Traces can hold millions of events, so they are stored packed (four
     integers per event, object descriptors interned in a side table); use
-    {!iter_raw} for throughput-critical consumers. *)
+    {!iter_raw} for throughput-critical consumers. One sealed codec,
+    EBPT4 ({!encode}, {!decode}, {!map_file}), serves both a cache entry
+    and an [ebp trace -o] file; the streaming recorder writes EBPB1
+    ({!Stream}) instead. *)
 
 type event =
   | Install of { obj : Object_desc.t; range : Ebp_util.Interval.t }
@@ -97,7 +100,7 @@ val iter_raw_skipping :
   skip:(min_lo:int -> max_hi:int -> bool) ->
   on_skip:(writes:int -> unit) ->
   (tag:int -> obj:int -> lo:int -> hi:int -> pc:int -> unit) -> unit
-(** {!iter_raw}, except that on a mapped trace (see {!map_columnar}) a
+(** {!iter_raw}, except that on a mapped trace (see {!map_file}) a
     block of events containing only writes may be skipped wholesale:
     when its summary shows no install/remove events and
     [skip ~min_lo ~max_hi] returns [true] for the bounds of its write
@@ -138,72 +141,47 @@ type stats = {
 val stats : t -> stats
 val pp_stats : Format.formatter -> stats -> unit
 
-(** {2 Serialization} *)
+(** {2 Serialization}
+
+    One codec, EBPT4: the cache entry, the [ebp trace -o] file and a
+    [--from-trace] input are the same image. It stores the four event
+    columns (w0, lo, hi - lo, pc) as frame-of-reference byte-width
+    columns ({!Byte_column}): each keeps its minimum and the fewest
+    bytes, 1 to 8, that hold its range, so a recorded trace takes about
+    10 bytes per event where 8-byte words took 32. A warm load is a
+    single [mmap]: no per-event decode, no heap allocation proportional
+    to the trace, one physical copy shared by every domain and process
+    that maps the file; a field read is one unaligned 8-byte load, a
+    mask and the base. Files are self-sealed ("EBPZ" + CRC-32 trailer)
+    and carry per-block min/max summaries that {!iter_raw_skipping}
+    turns into block skipping. The full layout and the mmap
+    lifetime/safety rules are documented in [docs/PERFORMANCE.md] and
+    [docs/ROBUSTNESS.md]. *)
 
 val to_text : t -> string
 (** One event per line: ["I <obj> <lo> <hi>"], ["R <obj> <lo> <hi>"],
-    ["W <lo> <hi> <pc>"]. *)
-
-val of_text : string -> (t, string) result
+    ["W <lo> <hi> <pc>"] — the [ebp trace --text] printer. *)
 
 val codec_version : string
-(** Magic/version tag of the binary codec ("EBPT2"), the compact
-    exchange format of [ebp trace -o] and [--from-trace]. The trace cache
-    stores EBPT4 instead (see {!columnar_version}). *)
+(** Magic/version tag of the codec ("EBPT4"); {!Trace_cache} hashes it
+    into every key, so bumping it orphans old cache entries instead of
+    misreading them. *)
 
-val encode : t -> string
-(** Serialize to the compact binary format: struct-of-arrays columns with
-    LEB128 varints, delta-encoded [lo] and write-[pc] chains (see the
-    codec comment in the implementation). A workload trace lands around
-    5 bytes/event. *)
-
-val decode : string -> (t, string) result
-(** Inverse of {!encode}. Rejects bad magic, truncated or trailing bytes,
-    unknown event tags, and out-of-range object ids. *)
-
-val write_binary : out_channel -> t -> unit
-(** [output_string oc (encode t)]. *)
-
-val read_binary : in_channel -> (t, string) result
-(** Decode a trace from [ic], consuming the channel to end-of-file (the
-    trace must be the final payload of the file). *)
-
-(** {2 EBPT4 — the zero-copy columnar layout}
-
-    EBPT4 stores the four event columns (w0, lo, hi - lo, pc) as
-    frame-of-reference byte-width columns ({!Byte_column}): each keeps
-    its minimum and the fewest bytes, 1 to 8, that hold its range, so a
-    recorded trace takes about 10 bytes per event where 8-byte words took
-    32. A warm load is still a single [mmap]: no per-event decode, no
-    heap allocation proportional to the trace, one physical copy shared
-    by every domain and process that maps the file; a field read is one
-    unaligned 8-byte load, a mask and the base. Files are self-sealed
-    ("EBPZ" + CRC-32 trailer) and carry per-block min/max summaries that
-    {!iter_raw_skipping} turns into block skipping. The full layout and
-    the mmap lifetime/safety rules are documented in
-    [docs/PERFORMANCE.md] and [docs/ROBUSTNESS.md]. *)
-
-val columnar_version : string
-(** Magic/version tag of the columnar codec ("EBPT4"); {!Trace_cache}
-    hashes it into every key, so bumping it orphans old cache entries
-    instead of misreading them. *)
-
-val encode_columnar : ?meta:string -> t -> string
+val encode : ?meta:string -> t -> string
 (** Serialize to a complete, self-sealed EBPT4 file image (header,
-    [meta], object table, block summaries, columns, pad, CRC trailer),
-    built in one exact-size allocation. Larger than {!encode} (about 10
-    B/event against 5) — it buys load time with disk; {!Trace_cache}
-    stores it as the entry. *)
+    [meta] (default empty), object table, block summaries, columns, pad,
+    CRC trailer), built in one exact-size allocation. Deterministic:
+    equal traces encode to equal bytes. *)
 
-val decode_columnar : string -> (t * string, string) result
-(** Fully-checked inverse of {!encode_columnar}: verifies the CRC, every
-    header field (column widths included) against the file length,
-    object descriptors, event tags and ids, and that the block summaries
-    match the events. Returns a heap trace plus the embedded [meta]. This
-    is the verification path ([ebp cache verify], the fuzzer's columnar
-    oracle). *)
+val decode : string -> (t * string, string) result
+(** Fully-checked inverse of {!encode}: verifies the CRC, every header
+    field (column widths included) against the file length, object
+    descriptors, event tags and ids, and that the block summaries match
+    the events. Returns a heap trace plus the embedded [meta]. This is
+    the verification path ([ebp cache verify], [--from-trace], the
+    fuzzer's trace-codec oracle). *)
 
-val map_columnar :
+val map_file :
   ?verify:bool -> ?mangle:(string -> string) -> string ->
   (t * string, string) result
 (** Map the EBPT4 file at [path] and return a trace reading its columns
@@ -212,14 +190,14 @@ val map_columnar :
     w0 column (tags/object ids) — but not the payload CRC, whose cost
     would rival the decode being avoided; run [ebp cache verify] (or
     pass [~verify:true], which reads the file and loads it through
-    {!decode_columnar}, passing the bytes read through [mangle] first —
-    the cache's read fault point) for full integrity checking. Any
+    {!decode}, passing the bytes read through [mangle] first — the
+    cache's read fault point) for full integrity checking. Any
     validation failure or I/O error is [Error]. Under fault injection
     the [trace.codec.map] point (and [mangle]) may raise
     {!Ebp_util.Fault.Injected} — a transient miss, distinct from a bad
     file. *)
 
-val columnar_events : string -> int option
+val header_events : string -> int option
 (** The event count in the header of an EBPT4 image, given at least its
     first 16 bytes; [None] when they do not start one. Nothing else is
     checked. *)

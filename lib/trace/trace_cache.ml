@@ -1,6 +1,6 @@
 (* One file per artifact, each a sealed image:
 
-     <key>.trace          the EBPT4 columnar trace (Trace.encode_columnar),
+     <key>.trace          the EBPT4 columnar trace (Trace.encode),
                           caller meta in its header, self-sealed
      <key>.<ikey>.widx    a Write_index.encode body, sealed below
      <key>.<ckey>.ckpt    a Checkpoint.encode body, sealed below
@@ -17,7 +17,7 @@
    The version string below is hashed into every key and names the trace
    codec, so a format change silently orphans old entries instead of
    misreading them. *)
-let version = "ebp-trace-cache-v6:" ^ Trace.columnar_version
+let version = "ebp-trace-cache-v6:" ^ Trace.codec_version
 let trailer_magic = "EBPZ"
 let trailer_len = 12
 
@@ -213,7 +213,7 @@ let store_file ~dir ~path data =
 let store ~dir ~key ?(meta = "") trace =
   timed "cache.store" m_store_ns @@ fun () ->
   store_file ~dir ~path:(entry_path ~dir ~key)
-    (Trace.encode_columnar ~meta trace)
+    (Trace.encode ~meta trace)
 
 let index_key ~key ~page_sizes =
   Digest.to_hex
@@ -291,7 +291,7 @@ let load_entry ~dir ~file (decode : ?len:int -> string -> ('a, string) result)
               None))
 
 (* A trace entry is mapped, not read: the mmap fast path validates its
-   structure but trusts the payload CRC (see Trace.map_columnar). Under
+   structure but trusts the payload CRC (see Trace.map_file). Under
    fault injection — exactly when bytes get mangled in flight — the load
    reads the file through the lookup fault point and verifies everything,
    CRC included. Any failure is a miss: an injected transient one leaves
@@ -305,7 +305,7 @@ let lookup ~dir ~key =
     else
       let verify = Fault.active () in
       match
-        Trace.map_columnar ~verify
+        Trace.map_file ~verify
           ~mangle:(fun data ->
             let data = Fault.mangle p_lookup_data data in
             Metrics.add m_bytes_read (String.length data);
@@ -415,7 +415,7 @@ let entry_events ~dir e =
     | exception (Sys_error _ | End_of_file) -> None
   in
   match e.entry_kind with
-  | Trace_entry -> header Trace.columnar_events
+  | Trace_entry -> header Trace.header_events
   | Index_entry -> header Write_index.header_events
   | Checkpoint_entry | Tmp_entry | Corrupt_entry -> None
 
@@ -536,7 +536,7 @@ let verify ?(quarantine = true) ~dir () =
                    everything the mmap fast path trusts, so this is where
                    damage the mapped load would miss gets caught. *)
                 | Trace_entry ->
-                    Result.map ignore (Trace.decode_columnar data)
+                    Result.map ignore (Trace.decode data)
                 | Checkpoint_entry -> sealed Checkpoint.decode data
                 | _ -> sealed Write_index.decode data)
           in

@@ -25,7 +25,7 @@
 
     {2 Storage and integrity}
 
-    One file per trace, [<dir>/<key>.trace]: the {!Trace.encode_columnar}
+    One file per trace, [<dir>/<key>.trace]: the {!Trace.encode}
     image, with the caller's metadata string (the experiment stores the
     base execution time there) in its header, sealed by its own 12-byte
     trailer (["EBPZ"] plus the 8-byte LE CRC-32 of everything before
@@ -35,7 +35,7 @@
     [Sys_error]s during a store are retried with exponential backoff
     (counted in [trace_cache.store_retries]).
 
-    {!lookup} maps the entry ({!Trace.map_columnar}): the columns are
+    {!lookup} maps the entry ({!Trace.map_file}): the columns are
     read in place, with no decode and no heap copy. The mapped load
     validates the entry's structure but not its payload CRC; while fault
     injection is active (when bytes get mangled in flight) it reads and
@@ -209,7 +209,7 @@ val verify : ?quarantine:bool -> dir:string -> unit -> verify_report
 (** [verify ~dir ()] re-checks the trailer CRC and decodes every trace,
     index, and checkpoint entry in [dir], quarantining the failures
     exactly as a lookup would (pass [~quarantine:false] to only report).
-    Trace entries get the {e full} {!Trace.decode_columnar} check —
+    Trace entries get the {e full} {!Trace.decode} check —
     including the payload CRC the mmap fast path deliberately skips, so
     this scan is the integrity backstop for mapped loads.
     Already-quarantined [*.corrupt] files are skipped. Drives

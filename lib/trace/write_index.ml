@@ -730,8 +730,6 @@ let to_bytes ~reserve t =
 
 let encode t = Bytes.unsafe_to_string (to_bytes ~reserve:0 t)
 
-let write_binary oc t = output_string oc (encode t)
-
 let header_events s =
   if String.length s < magic_len + 8 || String.sub s 0 magic_len <> codec_version
   then None
@@ -856,5 +854,3 @@ let decode ?len s =
               }
         end
       with Malformed msg -> Error ("malformed write index: " ^ msg))
-
-let read_binary ic = decode (In_channel.input_all ic)

@@ -22,8 +22,8 @@
 
     The index is deeply immutable after {!build} — flat [int array]s only —
     so it can be shared unsynchronized across domains, like the trace
-    itself. It also has a binary codec ({!write_binary}/{!read_binary})
-    so {!Trace_cache} can persist it next to the trace. *)
+    itself. It also has a binary codec ({!encode}/{!decode}) so
+    {!Trace_cache} can persist it next to the trace. *)
 
 type t
 
@@ -266,13 +266,7 @@ val decode : ?len:int -> string -> (t, string) result
     [write_index.codec.decode] fault point.
     @raise Invalid_argument if [len] is outside the string. *)
 
-val write_binary : out_channel -> t -> unit
-(** [output_string oc (encode t)]. *)
-
 val header_events : string -> int option
 (** The event count in the header of an {!encode} image, given at least
     its first 13 bytes; [None] when they do not start one. Nothing else
     is checked. *)
-
-val read_binary : in_channel -> (t, string) result
-(** [decode] of the channel's remaining contents (reads to EOF). *)

@@ -140,19 +140,9 @@ let prop_codec_round_trip =
   QCheck2.Test.make ~name:"Write_index codec round-trips" ~count:60 trace_gen
     (fun trace ->
       let index = Write_index.build ~page_sizes trace in
-      let path = Filename.temp_file "ebp_widx" ".bin" in
-      Fun.protect
-        ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-        (fun () ->
-          let oc = open_out_bin path in
-          Write_index.write_binary oc index;
-          close_out oc;
-          let ic = open_in_bin path in
-          let back = Write_index.read_binary ic in
-          close_in ic;
-          match back with
-          | Ok back -> Write_index.equal index back
-          | Error msg -> QCheck2.Test.fail_reportf "codec: %s" msg))
+      match Write_index.decode (Write_index.encode index) with
+      | Ok back -> Write_index.equal index back
+      | Error msg -> QCheck2.Test.fail_reportf "codec: %s" msg)
 
 (* --- pack-guard regression (40-bit page indices) --- *)
 

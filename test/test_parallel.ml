@@ -606,7 +606,7 @@ let test_experiment_faulted_identical () =
   let spec =
     "seed=42;trace_cache.store.data:p=0.3:bitflip;\
      trace_cache.store.io:p=0.2:fail;trace_cache.lookup.data:p=0.2:bitflip;\
-     trace.codec.decode:p=0.2:fail;write_index.codec.decode:p=0.2:fail;\
+     trace.codec.map:p=0.2:fail;write_index.codec.decode:p=0.2:fail;\
      pool.task:p=0.1:fail;loader.run:p=0.1:fail"
   in
   with_temp_cache_dir (fun dir ->

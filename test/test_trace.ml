@@ -95,61 +95,15 @@ let test_trace_iter_raw () =
   | [ (0, 0, -1); (2, -1, 7); (0, 1, -1); (2, -1, 9); (1, 1, -1); (1, 0, -1) ] -> ()
   | _ -> Alcotest.fail "raw iteration mismatch"
 
-let test_trace_text_roundtrip () =
-  let t = build_sample () in
-  match Trace.of_text (Trace.to_text t) with
-  | Error e -> Alcotest.fail e
-  | Ok t2 ->
-      Alcotest.(check int) "length" (Trace.length t) (Trace.length t2);
-      for i = 0 to Trace.length t - 1 do
-        if Trace.get t i <> Trace.get t2 i then Alcotest.failf "event %d differs" i
-      done
-
-let test_trace_text_errors () =
-  (match Trace.of_text "X 1 2 3\n" with
-  | Error msg -> Alcotest.(check bool) "line number" true (String.sub msg 0 4 = "line")
-  | Ok _ -> Alcotest.fail "accepted junk");
-  match Trace.of_text "W 5 2 0\n" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "accepted inverted range"
-
-let test_trace_binary_roundtrip () =
-  let t = build_sample () in
-  let path = Filename.temp_file "ebp_trace" ".bin" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out_bin path in
-      Trace.write_binary oc t;
-      close_out oc;
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          match Trace.read_binary ic with
-          | Error e -> Alcotest.fail e
-          | Ok t2 ->
-              Alcotest.(check int) "length" (Trace.length t) (Trace.length t2);
-              for i = 0 to Trace.length t - 1 do
-                if Trace.get t i <> Trace.get t2 i then
-                  Alcotest.failf "event %d differs" i
-              done))
-
-let test_trace_binary_rejects_garbage () =
-  let path = Filename.temp_file "ebp_trace" ".bin" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out_bin path in
-      output_string oc "NOTATRACE";
-      close_out oc;
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          match Trace.read_binary ic with
-          | Error _ -> ()
-          | Ok _ -> Alcotest.fail "accepted garbage"))
+let test_trace_text_printer () =
+  Alcotest.(check string) "one event per line"
+    "I global:g 100 103\n\
+     W 100 103 7\n\
+     I heap:main#1 200 239\n\
+     W 300 300 9\n\
+     R heap:main#1 200 239\n\
+     R global:g 100 103\n"
+    (Trace.to_text (build_sample ()))
 
 (* Builder growth across the initial capacity. *)
 let test_trace_many_events () =
@@ -163,7 +117,7 @@ let test_trace_many_events () =
   | Trace.Write { pc = 9_999; _ } -> ()
   | _ -> Alcotest.fail "last event"
 
-(* --- binary codec (EBPT2) --- *)
+(* --- the codec (EBPT4) --- *)
 
 let rows t =
   let acc = ref [] in
@@ -178,7 +132,7 @@ let traces_equal t1 t2 =
 let check_roundtrip t =
   match Trace.decode (Trace.encode t) with
   | Error e -> Alcotest.failf "decode failed: %s" e
-  | Ok t2 -> traces_equal t t2
+  | Ok (t2, _) -> traces_equal t t2
 
 let prop_codec_roundtrip =
   (* Random event soup: decode (encode t) must reproduce every row and
@@ -227,8 +181,9 @@ let prop_codec_roundtrip =
       check_roundtrip (Trace.Builder.finish b))
 
 let test_codec_extreme_values () =
-  (* Deltas wrap at the 63-bit boundary; the zigzag varint chain must
-     round-trip every representable bound anyway. *)
+  (* Column ranges wrap at the 63-bit boundary (lo spans min_int to
+     max_int); the frame-of-reference columns must round-trip every
+     representable bound anyway. *)
   let b = Trace.Builder.create () in
   List.iter
     (fun lo -> Trace.Builder.add_write_raw b ~lo ~hi:lo ~pc:max_int)
@@ -243,21 +198,23 @@ let test_codec_malformed () =
     | Error _ -> ()
     | Ok _ -> Alcotest.failf "accepted %s" what
   in
+  let body = String.sub valid 5 (String.length valid - 5) in
   expect_error "empty input" "";
-  expect_error "bad magic" ("XXXXX" ^ String.sub valid 5 (String.length valid - 5));
-  expect_error "old codec version" "EBPT1";
+  expect_error "bad magic" ("XXXXX" ^ body);
+  (* The magics of the earlier codec versions, EBPT1 to EBPT3. *)
+  for v = 1 to 3 do
+    expect_error "old codec version" (Printf.sprintf "EBPT%d" v ^ body)
+  done;
   for cut = String.length Trace.codec_version to String.length valid - 1 do
     expect_error "truncation" (String.sub valid 0 cut)
   done;
-  expect_error "trailing bytes" (valid ^ "\x00");
-  expect_error "oversized varint"
-    (Trace.codec_version ^ String.make 10 '\xff')
+  expect_error "trailing bytes" (valid ^ "\x00")
 
 let test_codec_mutation_fuzz () =
   (* Exhaustive single-bit mutations of a valid blob: the decoder must
      always return ([Ok] or [Error] — no exception, no hang), whatever
-     the flip hits. Detection of silent misdecodes is the cache layer's
-     job (its CRC trailer; see test_fault.ml) — this guards the decoder
+     the flip hits. That every flip is also detected (the CRC trailer) is
+     the columnar "bit flips detected" test; this guards the decoder
      itself against crashes on adversarial input. *)
   let valid = Trace.encode (build_sample ()) in
   for i = 0 to String.length valid - 1 do
@@ -358,7 +315,7 @@ let test_codec_byte_counters () =
       Alcotest.(check int) "bytes_in" (String.length s)
         (counter "trace.codec.bytes_in"))
 
-(* --- columnar codec (EBPT3) and the mmap load path --- *)
+(* --- the columnar layout and the mmap load path --- *)
 
 let big_sample ?(events = 10_000) () =
   (* Enough events to span multiple 4096-event summary blocks, with
@@ -383,8 +340,8 @@ let column_widths image =
 let test_columnar_roundtrip () =
   List.iter
     (fun t ->
-      let bytes = Trace.encode_columnar ~meta:"m1" t in
-      match Trace.decode_columnar bytes with
+      let bytes = Trace.encode ~meta:"m1" t in
+      match Trace.decode bytes with
       | Error e -> Alcotest.failf "decode failed: %s" e
       | Ok (t2, meta) ->
           Alcotest.(check string) "meta" "m1" meta;
@@ -394,9 +351,9 @@ let test_columnar_roundtrip () =
     [ build_sample (); big_sample (); Trace.Builder.finish (Trace.Builder.create ()) ]
 
 let test_columnar_malformed () =
-  let valid = Trace.encode_columnar ~meta:"m" (build_sample ()) in
+  let valid = Trace.encode ~meta:"m" (build_sample ()) in
   let expect_error what s =
-    match Trace.decode_columnar s with
+    match Trace.decode s with
     | Error _ -> ()
     | Ok _ -> Alcotest.failf "accepted %s" what
   in
@@ -410,30 +367,30 @@ let test_columnar_malformed () =
 let test_columnar_bitflips_detected () =
   (* Every single-bit flip anywhere in the image must be rejected by the
      fully-checked decoder (CRC over the body, magic over the rest). *)
-  let valid = Trace.encode_columnar ~meta:"m" (build_sample ()) in
+  let valid = Trace.encode ~meta:"m" (build_sample ()) in
   for i = 0 to String.length valid - 1 do
     for bit = 0 to 7 do
       let b = Bytes.of_string valid in
       Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)));
-      match Trace.decode_columnar (Bytes.unsafe_to_string b) with
+      match Trace.decode (Bytes.unsafe_to_string b) with
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "accepted bit %d of byte %d flipped" bit i
     done
   done
 
 let with_columnar_file t f =
-  let path = Filename.temp_file "ebp_columnar" ".ebpt3" in
+  let path = Filename.temp_file "ebp_columnar" ".trace" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
       Out_channel.with_open_bin path (fun oc ->
-          Out_channel.output_string oc (Trace.encode_columnar ~meta:"mm" t));
+          Out_channel.output_string oc (Trace.encode ~meta:"mm" t));
       f path)
 
 let test_columnar_map () =
   let t = big_sample () in
   with_columnar_file t (fun path ->
-      match Trace.map_columnar path with
+      match Trace.map_file path with
       | Error e -> Alcotest.failf "map failed: %s" e
       | Ok (m, meta) ->
           Alcotest.(check string) "meta" "mm" meta;
@@ -451,7 +408,7 @@ let test_columnar_map () =
 let test_columnar_map_verify () =
   let t = build_sample () in
   with_columnar_file t (fun path ->
-      match Trace.map_columnar ~verify:true path with
+      match Trace.map_file ~verify:true path with
       | Error e -> Alcotest.failf "verified load failed: %s" e
       | Ok (m, _) -> Alcotest.(check bool) "rows" true (traces_equal t m))
 
@@ -465,7 +422,7 @@ let test_columnar_map_rejects_damage () =
           Out_channel.output_string oc s)
       in
       let expect_error what =
-        match Trace.map_columnar path with
+        match Trace.map_file path with
         | Error _ -> ()
         | Ok _ -> Alcotest.failf "mapped %s" what
       in
@@ -486,7 +443,7 @@ let test_columnar_map_rejects_damage () =
       write (Bytes.unsafe_to_string b);
       expect_error "a corrupt w0 column";
       write valid;
-      match Trace.map_columnar path with
+      match Trace.map_file path with
       | Ok _ -> ()
       | Error e -> Alcotest.failf "restored file rejected: %s" e)
 
@@ -496,7 +453,7 @@ let test_columnar_mapped_skipping () =
      reported through on_skip — so visited + skipped = total writes. *)
   let t = big_sample ~events:20_000 () in
   with_columnar_file t (fun path ->
-      match Trace.map_columnar path with
+      match Trace.map_file path with
       | Error e -> Alcotest.failf "map failed: %s" e
       | Ok (m, _) ->
           (* A window disjoint from every write: everything skippable. *)
@@ -567,7 +524,7 @@ let with_image image f =
 let test_columnar_width_classes () =
   List.iter
     (fun (name, lo_width, t) ->
-      let image = Trace.encode_columnar ~meta:name t in
+      let image = Trace.encode ~meta:name t in
       (match lo_width with
       | Some w -> Alcotest.(check int) (name ^ ": lo width") w (List.nth (column_widths image) 1)
       | None -> ());
@@ -577,10 +534,10 @@ let test_columnar_width_classes () =
             Alcotest.(check string) (name ^ ": meta via " ^ what) name meta;
             Alcotest.(check bool) (name ^ ": rows via " ^ what) true (traces_equal t t2)
       in
-      same "decode_columnar" (Trace.decode_columnar image);
+      same "decode" (Trace.decode image);
       with_image image (fun path ->
-          same "map_columnar" (Trace.map_columnar path);
-          same "map_columnar ~verify" (Trace.map_columnar ~verify:true path)))
+          same "map_file" (Trace.map_file path);
+          same "map_file ~verify" (Trace.map_file ~verify:true path)))
     (width_class_traces ())
 
 (* Recompute an edited image's CRC, so only the edit itself is wrong. *)
@@ -592,7 +549,7 @@ let reseal image =
   Bytes.unsafe_to_string b
 
 let test_columnar_width_rejects () =
-  let valid = Trace.encode_columnar (build_sample ()) in
+  let valid = Trace.encode (build_sample ()) in
   let edit f =
     let b = Bytes.of_string valid in
     f b;
@@ -600,14 +557,14 @@ let test_columnar_width_rejects () =
   in
   let expect what image =
     let before = Gc.allocated_bytes () in
-    (match Trace.decode_columnar image with
+    (match Trace.decode image with
     | Ok _ -> Alcotest.failf "decoded %s" what
     | Error _ -> ());
     if Gc.allocated_bytes () -. before > 1e6 then
       Alcotest.failf "%s: decoder allocated %.0f bytes" what
         (Gc.allocated_bytes () -. before);
     with_image image (fun path ->
-        match Trace.map_columnar path with
+        match Trace.map_file path with
         | Ok _ -> Alcotest.failf "mapped %s" what
         | Error _ -> ())
   in
@@ -632,9 +589,9 @@ let test_columnar_byte_counters () =
       Metrics.reset ())
     (fun () ->
       let t = build_sample () in
-      let s = Trace.encode_columnar ~meta:"mm" t in
+      let s = Trace.encode ~meta:"mm" t in
       with_columnar_file t (fun path ->
-          match Trace.map_columnar path with
+          match Trace.map_file path with
           | Error e -> Alcotest.fail e
           | Ok _ ->
               let counter name =
@@ -647,9 +604,9 @@ let test_columnar_byte_counters () =
                 | Some (_, total, _) -> total
                 | None -> Alcotest.failf "counter %s not registered" name
               in
-              Alcotest.(check int) "columnar_bytes_out"
+              Alcotest.(check int) "bytes_out"
                 (2 * String.length s)
-                (counter "trace.codec.columnar_bytes_out");
+                (counter "trace.codec.bytes_out");
               Alcotest.(check bool) "mapped_bytes counted" true
                 (counter "trace.codec.mapped_bytes" > 0)))
 
@@ -819,10 +776,7 @@ let () =
         ] );
       ( "codecs",
         [
-          Alcotest.test_case "text roundtrip" `Quick test_trace_text_roundtrip;
-          Alcotest.test_case "text errors" `Quick test_trace_text_errors;
-          Alcotest.test_case "binary roundtrip" `Quick test_trace_binary_roundtrip;
-          Alcotest.test_case "binary garbage" `Quick test_trace_binary_rejects_garbage;
+          Alcotest.test_case "text printer" `Quick test_trace_text_printer;
           QCheck_alcotest.to_alcotest prop_codec_roundtrip;
           Alcotest.test_case "extreme values" `Quick test_codec_extreme_values;
           Alcotest.test_case "malformed inputs" `Quick test_codec_malformed;
