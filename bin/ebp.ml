@@ -202,6 +202,43 @@ let cache_dir_arg =
           "Trace cache directory (default: \\$XDG_CACHE_HOME/ebp or \
            ~/.cache/ebp).")
 
+let dir_of cache_dir =
+  Option.value cache_dir ~default:(Ebp_trace.Trace_cache.default_dir ())
+
+(* The cache directory and the trace key of [target]'s recording. *)
+let cache_slot cache_dir ~target ~source ~seed =
+  (dir_of cache_dir, Ebp_trace.Trace_cache.make_key ~name:target ~source ~seed ())
+
+(* [target]'s trace and base execution time: recorded, or with
+   [~cached] through the trace door every surface shares (a line on
+   stderr says which) — then with the entry's (dir, key), which the
+   trace's index entry hangs off. *)
+let phase1 ?(cached = false) ?cache_dir ~target ~source ~seed () =
+  let ok = function Ok r -> r | Error msg -> exit_err msg in
+  let record () =
+    Ebp_trace.Recorder.record_source ~seed source
+    |> Result.map (fun (result, trace, _debug) ->
+           let cycles = result.Ebp_runtime.Loader.cycles in
+           (trace, Ebp_machine.Cost_model.ms_of_cycles cycles, ()))
+  in
+  if not cached then
+    let trace, base_ms, () = ok (record ()) in
+    (trace, base_ms, None)
+  else
+    let dir, key = cache_slot cache_dir ~target ~source ~seed in
+    let trace, base_ms, origin =
+      ok (Ebp_workloads.Workload.cached_trace ~dir ~key ~record)
+    in
+    let events = Ebp_trace.Trace.length trace in
+    (match origin with
+    | Ebp_workloads.Workload.Hit ->
+        Printf.eprintf "phase 1: cache hit, no execution (%d events)\n" events
+    | Ebp_workloads.Workload.Recorded ((), Ok ()) ->
+        Printf.eprintf "phase 1: traced and cached (%d events)\n" events
+    | Ebp_workloads.Workload.Recorded ((), Error msg) ->
+        Printf.eprintf "phase 1: traced; cache store failed: %s\n" msg);
+    (trace, base_ms, Some (dir, key))
+
 let trace_cmd =
   let doc = "Record a program event trace (phase 1)." in
   let out_arg =
@@ -293,13 +330,7 @@ let trace_cmd =
                chain loader recorder);
           Ebp_trace.Recorder.finish_events recorder;
           Ebp_trace.Stream.Writer.finish writer;
-          let dir =
-            Option.value cache_dir
-              ~default:(Ebp_trace.Trace_cache.default_dir ())
-          in
-          let key =
-            Ebp_trace.Trace_cache.make_key ~name:target ~source ~seed ()
-          in
+          let dir, key = cache_slot cache_dir ~target ~source ~seed in
           (match Ebp_trace.Trace_cache.store_checkpoints ~dir ~key chain with
           | Ok () ->
               Printf.eprintf "streamed %d events to %s; %d checkpoints cached\n"
@@ -325,41 +356,15 @@ let trace_cmd =
         stream_record ~target ~source ~seed ~out:(Option.get stream) ~block_events
           ~every:checkpoint_every ~cache_dir
     | Ok (source, seed) -> (
-        let record () =
-          match Ebp_trace.Recorder.record_source ~seed source with
-          | Error msg -> exit_err msg
-          | Ok (_result, trace, _debug) -> trace
-        in
-        let trace =
-          if not cached then record ()
-          else begin
-            let dir =
-              Option.value cache_dir
-                ~default:(Ebp_trace.Trace_cache.default_dir ())
-            in
-            let key =
-              Ebp_trace.Trace_cache.make_key ~name:target ~source ~seed ()
-            in
-            match Ebp_trace.Trace_cache.lookup ~dir ~key with
-            | Some (trace, _meta) ->
-                Printf.eprintf "phase 1: cache hit, no execution (%d events)\n"
-                  (Ebp_trace.Trace.length trace);
-                trace
-            | None ->
-                let trace = record () in
-                (match Ebp_trace.Trace_cache.store ~dir ~key trace with
-                | Ok () ->
-                    Printf.eprintf "phase 1: traced and cached (%d events)\n"
-                      (Ebp_trace.Trace.length trace)
-                | Error msg ->
-                    Printf.eprintf "phase 1: traced; cache store failed: %s\n"
-                      msg);
-                trace
-          end
+        let trace, base_ms, _ =
+          phase1 ~cached ?cache_dir ~target ~source ~seed ()
         in
         (match out with
         | Some path ->
-            write_file path (Ebp_trace.Trace.encode trace);
+            write_file path
+              (Ebp_trace.Trace.encode
+                 ~meta:(Ebp_workloads.Workload.meta_of_base_ms base_ms)
+                 trace);
             Printf.eprintf "wrote %d events to %s\n"
               (Ebp_trace.Trace.length trace) path
         | None -> ());
@@ -467,17 +472,12 @@ let sessions_cmd =
       | None -> (
           match source_of_arg target with
           | Error msg -> exit_err msg
-          | Ok (source, seed) -> (
-              match Ebp_trace.Recorder.record_source ~seed source with
-              | Error msg -> exit_err msg
-              | Ok (_result, trace, _debug) -> trace))
+          | Ok (source, seed) ->
+              let trace, _, _ = phase1 ~target ~source ~seed () in
+              trace)
     in
     let results =
-      match engine with
-      | Some engine ->
-          Ebp_sessions.Replay.discover_and_replay ~engine ~page_sizes
-            ~keep_hitless:all trace
-      | None -> Ebp_sessions.Planner.replay ~page_sizes ~keep_hitless:all trace
+      Ebp_sessions.Planner.replay ~page_sizes ?engine ~keep_hitless:all trace
     in
     (* Render through the one path the serve daemon also uses, so batch
        and served reports stay byte-identical (test/cram/serve.t). *)
@@ -584,66 +584,26 @@ let query_cmd =
           prerr_endline (Ebp_query.Parser.error_caret expr e);
           exit 1
     in
-    (* [trace_key] is [Some key] only when the trace came from the cache
-       path, which is what guarantees the index entry describes it. *)
-    let trace, trace_key =
+    (* The index entry is consulted only when the trace came from the
+       cache, which is what guarantees the entry describes it. *)
+    let trace, slot =
       match from with
       | Some path -> (read_trace_file path, None)
       | None -> (
           match source_of_arg target with
           | Error msg -> exit_err msg
-          | Ok (source, seed) -> (
-              let record () =
-                match Ebp_trace.Recorder.record_source ~seed source with
-                | Error msg -> exit_err msg
-                | Ok (_result, trace, _debug) -> trace
+          | Ok (source, seed) ->
+              let trace, _, slot =
+                phase1 ~cached ?cache_dir ~target ~source ~seed ()
               in
-              if not cached then (record (), None)
-              else
-                let dir =
-                  Option.value cache_dir
-                    ~default:(Ebp_trace.Trace_cache.default_dir ())
-                in
-                let key =
-                  Ebp_trace.Trace_cache.make_key ~name:target ~source ~seed ()
-                in
-                match Ebp_trace.Trace_cache.lookup ~dir ~key with
-                | Some (trace, _meta) ->
-                    Printf.eprintf
-                      "phase 1: cache hit, no execution (%d events)\n"
-                      (Ebp_trace.Trace.length trace);
-                    (trace, Some (dir, key))
-                | None ->
-                    let trace = record () in
-                    (match Ebp_trace.Trace_cache.store ~dir ~key trace with
-                    | Ok () ->
-                        Printf.eprintf
-                          "phase 1: traced and cached (%d events)\n"
-                          (Ebp_trace.Trace.length trace)
-                    | Error msg ->
-                        Printf.eprintf
-                          "phase 1: traced; cache store failed: %s\n" msg);
-                    (trace, Some (dir, key))))
+              (trace, slot))
     in
-    let page_sizes = Ebp_sessions.Replay.default_page_sizes in
     let index_source =
-      match trace_key with
+      match slot with
       | None -> Ebp_sessions.Planner.no_index_cache
       | Some (dir, key) ->
-          {
-            Ebp_sessions.Planner.cached =
-              Ebp_trace.Trace_cache.index_cached ~dir ~key ~page_sizes;
-            load =
-              (fun () ->
-                Ebp_trace.Trace_cache.lookup_index ~dir ~key ~page_sizes);
-            store =
-              (fun index ->
-                match
-                  Ebp_trace.Trace_cache.store_index ~dir ~key ~page_sizes
-                    index
-                with
-                | Ok () | Error _ -> ());
-          }
+          Ebp_sessions.Planner.cache_index ~dir ~key
+            ~page_sizes:Ebp_sessions.Replay.default_page_sizes
     in
     let log = if explain then Some prerr_endline else None in
     let execution =
@@ -758,9 +718,6 @@ let stats_cmd =
 (* --- cache --- *)
 
 let cache_cmd =
-  let dir_of cache_dir =
-    Option.value cache_dir ~default:(Ebp_trace.Trace_cache.default_dir ())
-  in
   let kind_name = function
     | Ebp_trace.Trace_cache.Trace_entry -> "trace"
     | Ebp_trace.Trace_cache.Index_entry -> "index"
@@ -1094,13 +1051,7 @@ let travel_cmd =
             let chain =
               if not cached then record_chain ()
               else begin
-                let dir =
-                  Option.value cache_dir
-                    ~default:(Ebp_trace.Trace_cache.default_dir ())
-                in
-                let key =
-                  Ebp_trace.Trace_cache.make_key ~name:target ~source ~seed ()
-                in
+                let dir, key = cache_slot cache_dir ~target ~source ~seed in
                 match Ebp_trace.Trace_cache.lookup_checkpoints ~dir ~key with
                 | Some chain ->
                     Printf.eprintf "checkpoints: cache hit (%d entries)\n"

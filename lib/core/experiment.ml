@@ -52,52 +52,19 @@ let run ?(workloads = Workload.all) ?(timing = Timing.sparcstation2)
         (fun ps -> not (List.mem ps page_sizes))
         (List.sort_uniq Int.compare (List.concat_map approach_sizes approaches))
   in
-  (* [engine] is now an override: [None] (the default) hands each
-     workload's engine choice to the cost-based {!Ebp_sessions.Planner},
-     which prices scan vs index-build vs cached-index reuse per trace.
-     Either way each workload's write index — like the trace it derives
-     from — is a pure function of cached inputs, so it shares the trace
-     cache: loaded when present, stored (best-effort) after a build. *)
-  let index_key run = Workload.cache_key ?fuel run.Workload.workload in
-  let index_for engine pool run =
-    match engine with
-    | Replay.Scan -> None
-    | Replay.Indexed -> (
-        let build () =
-          Ebp_trace.Write_index.build ~pool ~page_sizes run.Workload.trace
-        in
-        match cache_dir with
-        | None -> Some (build ())
-        | Some dir -> (
-            let key = index_key run in
-            match Ebp_trace.Trace_cache.lookup_index ~dir ~key ~page_sizes with
-            | Some index -> Some index
-            | None ->
-                let index = build () in
-                (match
-                   Ebp_trace.Trace_cache.store_index ~dir ~key ~page_sizes index
-                 with
-                | Ok () | Error _ -> ());
-                Some index))
-  in
+  (* [engine] is an override: [None] (the default) hands each workload's
+     engine choice to the cost-based {!Ebp_sessions.Planner}, which prices
+     scan vs index-build vs cached-index reuse per trace. Either way each
+     workload's write index — like the trace it derives from — is a pure
+     function of cached inputs, so it shares the trace cache: loaded when
+     present, stored (best-effort) after a build. *)
   let index_source run =
     match cache_dir with
     | None -> Ebp_sessions.Planner.no_index_cache
     | Some dir ->
-        let key = index_key run in
-        {
-          Ebp_sessions.Planner.cached =
-            Ebp_trace.Trace_cache.index_cached ~dir ~key ~page_sizes;
-          load =
-            (fun () ->
-              Ebp_trace.Trace_cache.lookup_index ~dir ~key ~page_sizes);
-          store =
-            (fun index ->
-              match
-                Ebp_trace.Trace_cache.store_index ~dir ~key ~page_sizes index
-              with
-              | Ok () | Error _ -> ());
-        }
+        Ebp_sessions.Planner.cache_index ~dir
+          ~key:(Workload.cache_key ?fuel run.Workload.workload)
+          ~page_sizes
   in
   (* The top-level span brackets the whole experiment; the per-workload
      phase spans below carve it up on the trace-event timeline. *)
@@ -151,15 +118,8 @@ let run ?(workloads = Workload.all) ?(timing = Timing.sparcstation2)
                         [ ("workload", run.Workload.workload.Workload.name) ]
                       "phase2.workload"
                     @@ fun () ->
-                    match engine with
-                    | Some engine ->
-                        Replay.discover_and_replay ~page_sizes ~pool ~engine
-                          ?index:(index_for engine pool run)
-                          run.Workload.trace
-                    | None ->
-                        Ebp_sessions.Planner.replay ~page_sizes ~pool
-                          ~index_source:(index_source run)
-                          run.Workload.trace
+                    Ebp_sessions.Planner.replay ~page_sizes ~pool ?engine
+                      ~index_source:(index_source run) run.Workload.trace
                   in
                   log
                     (Printf.sprintf "phase 2 %-10s %d sessions replayed"

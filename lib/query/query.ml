@@ -5,7 +5,6 @@
    follows from the engines agreeing on the canonical Qresult. *)
 
 module Trace = Ebp_trace.Trace
-module W = Ebp_trace.Write_index
 module Planner = Ebp_sessions.Planner
 module Metrics = Ebp_obs.Metrics
 module Span = Ebp_obs.Span
@@ -57,23 +56,15 @@ let run ?(engine = Auto) ?index ?(index_source = Planner.no_index_cache) ?pool
     ?reason ?log trace (q : Ast.query) : execution =
   Span.with_span "query.run" @@ fun () ->
   Metrics.incr m_runs;
+  let index_source =
+    match index with Some i -> Planner.resident i | None -> index_source
+  in
   let run_scan () = Scan_engine.run trace q in
   let run_indexed () =
-    let idx =
-      match index with
-      | Some i -> i
-      | None -> (
-          match index_source.Planner.load () with
-          | Some i -> i
-          | None ->
-              let i =
-                W.build ?pool ~page_sizes:Ebp_sessions.Replay.default_page_sizes
-                  trace
-              in
-              index_source.Planner.store i;
-              i)
-    in
-    Compiled.run trace idx q
+    Compiled.run trace
+      (Planner.load_or_build ?pool
+         ~page_sizes:Ebp_sessions.Replay.default_page_sizes index_source trace)
+      q
   in
   match engine with
   | Scan -> { raw = run_scan (); engine_used = "scan"; planned = None }
@@ -82,7 +73,7 @@ let run ?(engine = Auto) ?index ?(index_source = Planner.no_index_cache) ?pool
       let est =
         Planner.estimate ?reason ~events:(Trace.length trace)
           ~sessions:(planner_sessions q) ~domains:1
-          ~cached_index:(index <> None || index_source.Planner.cached)
+          ~cached_index:index_source.Planner.cached
           ()
       in
       Planner.record_decision est;

@@ -112,25 +112,15 @@ module Core = struct
             match Trace_store.fetch t.store ~name ~source ~seed with
             | Error msg -> P.Error_resp { code = P.Bad_request; message = msg }
             | Ok (trace, index) ->
-                let results =
-                  match engine with
-                  | Some engine ->
-                      Ebp_sessions.Replay.discover_and_replay ~pool:t.pool
-                        ~engine ~index ~keep_hitless trace
-                  | None ->
-                      (* The store always holds the index, so for the
-                         planner "reuse" is free: the choice degenerates
-                         to reuse-vs-scan, decided per trace. *)
-                      Ebp_sessions.Planner.replay ~pool:t.pool ~keep_hitless
-                        ~index_source:
-                          {
-                            Ebp_sessions.Planner.cached = true;
-                            load = (fun () -> Some index);
-                            store = ignore;
-                          }
-                        trace
-                in
-                P.Report (Render.sessions_report results)))
+                (* The store always holds the index, so for the planner
+                   "reuse" is free: the choice degenerates to
+                   reuse-vs-scan, decided per trace. *)
+                P.Report
+                  (Render.sessions_report
+                     (Ebp_sessions.Planner.replay ~pool:t.pool ~keep_hitless
+                        ?engine
+                        ~index_source:(Ebp_sessions.Planner.resident index)
+                        trace))))
     | P.Experiment_query { workloads; artifact } -> (
         if not (List.mem artifact Render.experiment_artifacts) then
           P.Error_resp
@@ -361,19 +351,27 @@ type conn = {
   fd : Unix.file_descr;
   inbuf : Buffer.t;
   mutable tenant : string;
-  mutable outbuf : string;
-  mutable closing : bool;  (** close once [outbuf] is flushed *)
+  outq : string Queue.t;  (** encoded reply frames, oldest first *)
+  mutable out_off : int;  (** bytes of the head frame already written *)
+  mutable closing : bool;  (** close once [outq] is flushed *)
   mutable alive : bool;
 }
-
-let append_response conn resp =
-  if conn.alive then conn.outbuf <- conn.outbuf ^ P.encode_response resp
 
 let close_conn conn =
   if conn.alive then begin
     conn.alive <- false;
     (try Unix.close conn.fd with Unix.Unix_error _ -> ())
   end
+
+(* One queued frame per reply: queueing and writing cost that frame's
+   bytes alone. [serve.write] sees each outgoing frame once. *)
+let append_response conn resp =
+  if conn.alive then
+    match Fault.mangle fp_write (P.encode_response resp) with
+    | exception Fault.Injected _ ->
+        Metrics.incr m_conn_errors;
+        close_conn conn
+    | frame -> Queue.push frame conn.outq
 
 let handle_request core conn (req : P.request) =
   (match req with
@@ -431,28 +429,26 @@ let read_conn core conn =
           Buffer.add_string conn.inbuf data;
           process_frames core conn)
 
-let flush_conn conn =
-  if conn.alive && conn.outbuf <> "" then begin
-    match Fault.mangle fp_write conn.outbuf with
-    | exception Fault.Injected _ ->
+(* Write queued frames until the socket would block. *)
+let rec flush_conn conn =
+  if conn.alive && not (Queue.is_empty conn.outq) then begin
+    let frame = Queue.peek conn.outq in
+    let len = String.length frame - conn.out_off in
+    match Unix.write_substring conn.fd frame conn.out_off len with
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+    | exception Unix.Unix_error _ ->
         Metrics.incr m_conn_errors;
         close_conn conn
-    | data -> (
-        conn.outbuf <- data;
-        match
-          Unix.write_substring conn.fd conn.outbuf 0 (String.length conn.outbuf)
-        with
-        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-            ()
-        | exception Unix.Unix_error _ ->
-            Metrics.incr m_conn_errors;
-            close_conn conn
-        | n ->
-            Metrics.add m_bytes_out n;
-            conn.outbuf <-
-              String.sub conn.outbuf n (String.length conn.outbuf - n))
-  end;
-  if conn.alive && conn.closing && conn.outbuf = "" then close_conn conn
+    | n ->
+        Metrics.add m_bytes_out n;
+        if n < len then conn.out_off <- conn.out_off + n
+        else begin
+          ignore (Queue.pop conn.outq : string);
+          conn.out_off <- 0;
+          flush_conn conn
+        end
+  end
+  else if conn.alive && conn.closing then close_conn conn
 
 (* Bind the listener, refusing to replace a live daemon and cleaning up a
    stale socket file from a crashed one (the crash-recovery story in
@@ -545,7 +541,8 @@ let serve ?(on_ready = fun () -> ()) ~socket_path config () =
                       fd;
                       inbuf = Buffer.create 256;
                       tenant = "default";
-                      outbuf = "";
+                      outq = Queue.create ();
+                      out_off = 0;
                       closing = false;
                       alive = true;
                     }
@@ -579,7 +576,9 @@ let serve ?(on_ready = fun () -> ()) ~socket_path config () =
               !conns
         and writable =
           List.filter_map
-            (fun c -> if c.alive && c.outbuf <> "" then Some c.fd else None)
+            (fun c ->
+              if c.alive && not (Queue.is_empty c.outq) then Some c.fd
+              else None)
             !conns
         in
         let timeout = if Core.pending core > 0 then 0.0 else 0.2 in
@@ -594,7 +593,7 @@ let serve ?(on_ready = fun () -> ()) ~socket_path config () =
             List.iter flush_conn !conns);
         if Core.draining core && Core.pending core = 0 then begin
           let unflushed =
-            List.exists (fun c -> c.alive && c.outbuf <> "") !conns
+            List.exists (fun c -> c.alive && not (Queue.is_empty c.outq)) !conns
           in
           let expired =
             match !drain_deadline with

@@ -2,6 +2,8 @@ module Metrics = Ebp_obs.Metrics
 module Span = Ebp_obs.Span
 module Trace_cache = Ebp_trace.Trace_cache
 module Write_index = Ebp_trace.Write_index
+module Workload = Ebp_workloads.Workload
+module Planner = Ebp_sessions.Planner
 
 let m_warm = Metrics.counter "serve.store.warm_hits"
 let m_disk = Metrics.counter "serve.store.disk_hits"
@@ -68,56 +70,41 @@ let insert t key trace index =
   Metrics.set m_resident (float_of_int (Hashtbl.length t.tbl));
   e
 
-(* Record [source] from scratch and persist it (best-effort) with the same
-   base-time metadata the experiment engine stores, so a serve-populated
-   cache entry is a first-class warm hit for [ebp experiment] too. *)
-let record_cold t ~key ~source ~seed =
-  match Ebp_trace.Recorder.record_source ~seed source with
-  | Error _ as e -> e
-  | Ok (result, trace, _debug) ->
-      Metrics.incr m_cold;
-      let index = Write_index.build ?pool:t.pool ~page_sizes:t.page_sizes trace in
-      Option.iter
-        (fun dir ->
-          let base_ms =
-            Ebp_machine.Cost_model.ms_of_cycles
-              result.Ebp_runtime.Loader.cycles
-          in
-          ignore
-            (Trace_cache.store ~dir ~key
-               ~meta:(Printf.sprintf "%h" base_ms)
-               trace
-              : (unit, string) result);
-          ignore
-            (Trace_cache.store_index ~dir ~key ~page_sizes:t.page_sizes index
-              : (unit, string) result))
-        t.cache_dir;
-      Ok (trace, index)
+(* Record [source] from scratch and build its index (the cold tier). *)
+let record_cold t ~source ~seed =
+  Ebp_trace.Recorder.record_source ~seed source
+  |> Result.map (fun (result, trace, _debug) ->
+         Metrics.incr m_cold;
+         let index =
+           Write_index.build ?pool:t.pool ~page_sizes:t.page_sizes trace
+         in
+         let cycles = result.Ebp_runtime.Loader.cycles in
+         (trace, Ebp_machine.Cost_model.ms_of_cycles cycles, index))
 
+(* The disk tier goes through the same two doors as the batch surfaces,
+   so a serve-populated entry is a first-class warm hit for [ebp
+   experiment] too, and the other way round. *)
 let load t ~key ~source ~seed =
   match t.cache_dir with
-  | None -> record_cold t ~key ~source ~seed
-  | Some dir -> (
-      match Trace_cache.lookup ~dir ~key with
-      | None -> record_cold t ~key ~source ~seed
-      | Some (trace, _meta) ->
-          Metrics.incr m_disk;
-          let index =
-            match
-              Trace_cache.lookup_index ~dir ~key ~page_sizes:t.page_sizes
-            with
-            | Some index -> index
-            | None ->
-                let index =
-                  Write_index.build ?pool:t.pool ~page_sizes:t.page_sizes trace
-                in
-                ignore
-                  (Trace_cache.store_index ~dir ~key
-                     ~page_sizes:t.page_sizes index
-                    : (unit, string) result);
-                index
-          in
-          Ok (trace, index))
+  | None ->
+      record_cold t ~source ~seed
+      |> Result.map (fun (trace, _base_ms, index) -> (trace, index))
+  | Some dir ->
+      Workload.cached_trace ~dir ~key ~record:(fun () ->
+          record_cold t ~source ~seed)
+      |> Result.map (fun (trace, _base_ms, origin) ->
+             let index_source =
+               Planner.cache_index ~dir ~key ~page_sizes:t.page_sizes
+             in
+             match origin with
+             | Workload.Recorded (index, _) ->
+                 index_source.Planner.store index;
+                 (trace, index)
+             | Workload.Hit ->
+                 Metrics.incr m_disk;
+                 ( trace,
+                   Planner.load_or_build ?pool:t.pool ~page_sizes:t.page_sizes
+                     index_source trace ))
 
 let fetch t ~name ~source ~seed =
   let key = Trace_cache.make_key ~name ~source ~seed () in

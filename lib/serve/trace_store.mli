@@ -16,6 +16,12 @@
     + {b cold} — nothing anywhere; the program is recorded from source,
       then stored to both tiers (best-effort on disk).
 
+    The disk and cold tiers go through the doors every surface shares,
+    {!Ebp_workloads.Workload.cached_trace} for the trace and
+    {!Ebp_sessions.Planner.load_or_build} over
+    {!Ebp_sessions.Planner.cache_index} for the index, so the daemon,
+    the batch CLI and the experiment engine hit on each other's entries.
+
     Entries are immutable once resident — {!Ebp_trace.Trace.t} and
     {!Ebp_trace.Write_index.t} are deeply immutable — so one resident
     entry can back any number of concurrent replays, including shards on
@@ -53,8 +59,7 @@ val fetch :
 (** The (trace, write index) of one recorded run of [source], resident
     after this call. The key is {!Ebp_trace.Trace_cache.make_key}, so the
     disk tier is shared with — and populated for — the batch CLI and the
-    experiment engine (including the base-time metadata a warm
-    [ebp experiment] needs). [Error _] reports compile or runtime
+    experiment engine. [Error _] reports compile or runtime
     failures of the program itself. *)
 
 val resident : t -> int

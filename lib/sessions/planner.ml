@@ -1,5 +1,6 @@
 module Trace = Ebp_trace.Trace
 module Write_index = Ebp_trace.Write_index
+module Trace_cache = Ebp_trace.Trace_cache
 module Metrics = Ebp_obs.Metrics
 
 type choice = Use_scan | Build_index | Reuse_index
@@ -114,39 +115,66 @@ type source = {
 let no_index_cache =
   { cached = false; load = (fun () -> None); store = ignore }
 
+let cache_index ~dir ~key ~page_sizes =
+  {
+    cached = Trace_cache.index_cached ~dir ~key ~page_sizes;
+    load = (fun () -> Trace_cache.lookup_index ~dir ~key ~page_sizes);
+    (* Best-effort: a read-only cache directory only loses the reuse. *)
+    store =
+      (fun index ->
+        ignore
+          (Trace_cache.store_index ~dir ~key ~page_sizes index
+            : (unit, string) result));
+  }
+
+let resident index =
+  { cached = true; load = (fun () -> Some index); store = ignore }
+
+let build_and_store ?pool ~page_sizes source trace =
+  let index = Write_index.build ?pool ~page_sizes trace in
+  source.store index;
+  index
+
+let load_or_build ?pool ~page_sizes source trace =
+  match source.load () with
+  | Some index -> index
+  | None -> build_and_store ?pool ~page_sizes source trace
+
 let replay ?(page_sizes = Replay.default_page_sizes) ?pool ?domains
-    ?(keep_hitless = false) ?(index_source = no_index_cache) ?reason ?log
-    trace =
+    ?(keep_hitless = false) ?(index_source = no_index_cache) ?engine ?reason
+    ?log trace =
   let go pool =
     let sessions = Discovery.discover trace in
-    let ndomains =
-      match pool with
-      | Some p -> Ebp_util.Domain_pool.domains p
-      | None -> 1
-    in
-    let est =
-      estimate ?reason ~events:(Trace.length trace)
-        ~sessions:(List.length sessions) ~domains:ndomains
-        ~cached_index:index_source.cached ()
-    in
-    record_decision est;
-    (match log with Some f -> f (log_line est) | None -> ());
-    let build () =
-      let index = Write_index.build ?pool ~page_sizes trace in
-      index_source.store index;
-      (Replay.Indexed, Some index)
+    let indexed build =
+      (Replay.Indexed, Some (build ?pool ~page_sizes index_source trace))
     in
     let engine, index =
-      match est.choice with
-      | Use_scan -> (Replay.Scan, None)
-      | Build_index -> build ()
-      | Reuse_index -> (
+      match engine with
+      (* A forced engine skips the cost model: nothing is estimated,
+         counted or logged. *)
+      | Some Replay.Scan -> (Replay.Scan, None)
+      | Some Replay.Indexed -> indexed load_or_build
+      | None -> (
+          let ndomains =
+            match pool with
+            | Some p -> Ebp_util.Domain_pool.domains p
+            | None -> 1
+          in
+          let est =
+            estimate ?reason ~events:(Trace.length trace)
+              ~sessions:(List.length sessions) ~domains:ndomains
+              ~cached_index:index_source.cached ()
+          in
+          record_decision est;
+          (match log with Some f -> f (log_line est) | None -> ());
+          match est.choice with
+          | Use_scan -> (Replay.Scan, None)
+          | Build_index -> indexed build_and_store
           (* The probe said an entry exists; if it vanished or fails its
-             integrity check between probe and load, degrade to a build —
-             same engine, same report, just the amortization lost. *)
-          match index_source.load () with
-          | Some index -> (Replay.Indexed, Some index)
-          | None -> build ())
+             integrity check between probe and load, this degrades to a
+             build — same engine, same report, just the amortization
+             lost. *)
+          | Reuse_index -> indexed load_or_build)
     in
     let results = Replay.replay_all ~page_sizes ?pool ~engine ?index trace sessions in
     if keep_hitless then results

@@ -68,10 +68,15 @@ val log_line : estimate -> string
     ["planner: build (events=... sessions=... ...)"] — what
     {!replay} feeds the [?log] callback. *)
 
-(** How the planner sees the index cache: an existence probe (priced into
-    the estimate), a loader, and a store for freshly built indexes.
-    {!no_index_cache} (never cached, never stores) makes the planner
-    usable without a cache directory. *)
+(** {2 The index door}
+
+    How every surface obtains a trace's write index: a {!source} says
+    where an index may already live — an existence probe (priced into
+    the estimate), a loader, and a store for freshly built indexes — and
+    {!load_or_build} turns it into an index. {!replay} and
+    [Ebp_query.Query.run] go through it, so the CLI, the experiment
+    engine and the serve daemon share one [.widx] entry per trace. *)
+
 type source = {
   cached : bool;
   load : unit -> Ebp_trace.Write_index.t option;
@@ -79,6 +84,24 @@ type source = {
 }
 
 val no_index_cache : source
+(** Nothing cached, nothing stored: the planner without a cache. *)
+
+val cache_index : dir:string -> key:string -> page_sizes:int list -> source
+(** The {!Ebp_trace.Trace_cache} index entry of trace key [key] built
+    with [page_sizes]. [cached] is probed when the source is made; a
+    damaged entry loads as [None]; the store is best-effort. *)
+
+val resident : Ebp_trace.Write_index.t -> source
+(** An index already in memory (the serve daemon's store). *)
+
+val load_or_build :
+  ?pool:Ebp_util.Domain_pool.t ->
+  page_sizes:int list ->
+  source ->
+  Ebp_trace.Trace.t ->
+  Ebp_trace.Write_index.t
+(** [source.load ()], or else a {!Ebp_trace.Write_index.build} (chunked
+    across [pool]) handed to [source.store] and returned. *)
 
 val replay :
   ?page_sizes:int list ->
@@ -86,6 +109,7 @@ val replay :
   ?domains:int ->
   ?keep_hitless:bool ->
   ?index_source:source ->
+  ?engine:Replay.engine ->
   ?reason:reason ->
   ?log:(string -> unit) ->
   Ebp_trace.Trace.t ->
@@ -93,8 +117,12 @@ val replay :
 (** Discover sessions, {!estimate}, then replay with the chosen engine —
     the planner's counterpart of {!Replay.discover_and_replay}, with the
     same sharding ([?pool] / [?domains]) and [?keep_hitless] contract.
-    A [Reuse_index] whose load misses (entry vanished or quarantined
-    between probe and load) degrades to a build, never an error. The
-    decision is counted in [planner.decision.{scan,build,reuse}] and,
-    when [?log] is given, reported through it; there is no default
-    output, so batch report bytes are unchanged. *)
+    A [Reuse_index] goes through {!load_or_build}, so a load that misses
+    (entry vanished or quarantined between probe and load) degrades to a
+    build, never an error; a [Build_index] builds and stores without a
+    lookup. The decision is counted in
+    [planner.decision.{scan,build,reuse}] and, when [?log] is given,
+    reported through it; there is no default output, so batch report
+    bytes are unchanged. [?engine] ([--engine scan|indexed]) skips the
+    estimate, the counters and the log; a forced [Indexed] takes its
+    index through {!load_or_build}. *)

@@ -168,30 +168,40 @@ let base_ms_of_meta meta =
   | Some v when Float.is_finite v && v >= 0.0 -> Some v
   | Some _ | None -> None
 
-let record_cached ?fuel ~cache_dir w =
-  let key = cache_key ?fuel w in
-  let record_and_store () =
-    record ?fuel w
-    |> Result.map (fun run ->
-           (* Best-effort: a read-only cache directory degrades to record. *)
-           ignore
-             (Trace_cache.store ~dir:cache_dir ~key
-                ~meta:(meta_of_base_ms run.base_ms) run.trace
-               : (unit, string) result);
-           run)
+type 'a origin = Hit | Recorded of 'a * (unit, string) result
+
+let cached_trace ~dir ~key ~record =
+  let hit =
+    match Trace_cache.lookup ~dir ~key with
+    | Some (trace, meta) ->
+        Option.map (fun base_ms -> (trace, base_ms)) (base_ms_of_meta meta)
+    | None -> None
   in
-  match Trace_cache.lookup ~dir:cache_dir ~key with
-  | Some (trace, meta) -> (
-      match base_ms_of_meta meta with
-      | Some base_ms -> (
-          (* The compiled program is still needed (code-expansion reports,
-             instrumentation); compilation is pure and cheap next to the
-             machine run the cache saves. *)
-          match Ebp_lang.Compiler.compile w.source with
-          | Error msg -> Error (Printf.sprintf "%s: compile error: %s" w.name msg)
-          | Ok compiled ->
-              Ok { workload = w; compiled; result = None; trace; base_ms })
-      | None ->
-          (* Unreadable metadata: treat as a miss and overwrite the entry. *)
-          record_and_store ())
-  | None -> record_and_store ()
+  match hit with
+  | Some (trace, base_ms) -> Ok (trace, base_ms, Hit)
+  | None ->
+      (* A miss, or an entry whose metadata does not parse: record, then
+         (over)write the entry. Best-effort: a read-only cache directory
+         degrades to plain recording, with the reason in the outcome. *)
+      Result.map
+        (fun (trace, base_ms, v) ->
+          let stored =
+            Trace_cache.store ~dir ~key ~meta:(meta_of_base_ms base_ms) trace
+          in
+          (trace, base_ms, Recorded (v, stored)))
+        (record ())
+
+let record_cached ?fuel ~cache_dir w =
+  let record () =
+    record ?fuel w |> Result.map (fun run -> (run.trace, run.base_ms, run))
+  in
+  match cached_trace ~dir:cache_dir ~key:(cache_key ?fuel w) ~record with
+  | Error _ as e -> e
+  | Ok (_, _, Recorded (run, _)) -> Ok run
+  | Ok (trace, base_ms, Hit) -> (
+      (* The compiled program is still needed (code-expansion reports,
+         instrumentation); compilation is pure and cheap next to the
+         machine run the cache saves. *)
+      match Ebp_lang.Compiler.compile w.source with
+      | Error msg -> Error (Printf.sprintf "%s: compile error: %s" w.name msg)
+      | Ok compiled -> Ok { workload = w; compiled; result = None; trace; base_ms })

@@ -67,9 +67,37 @@ val cache_key : ?fuel:int -> t -> string
     scheme. Deterministic recording makes these inputs a complete
     description of the trace. *)
 
+(** {2 The trace door}
+
+    Every surface that caches a trace — [ebp experiment] (through
+    {!record_cached}), [ebp trace|query --cached] and the serve daemon —
+    goes through {!cached_trace}, so one key is one entry that all of
+    them write alike and can use. *)
+
+val meta_of_base_ms : float -> string
+(** An entry's metadata: its base execution time (ms) as a [%h] hex
+    float, which reads back exactly. [ebp trace -o] writes it too. *)
+
+type 'a origin =
+  | Hit  (** loaded from the cache; nothing ran *)
+  | Recorded of 'a * (unit, string) result
+      (** [record] ran and returned ['a]; then the store had this
+          outcome *)
+
+val cached_trace :
+  dir:string ->
+  key:string ->
+  record:(unit -> (Ebp_trace.Trace.t * float * 'a, 'e) result) ->
+  (Ebp_trace.Trace.t * float * 'a origin, 'e) result
+(** The trace under [key] in [dir] and its base time, when the entry is
+    intact and its metadata reads back. Otherwise [record ()] (its error
+    returned as is), whose trace is then stored — best-effort — with
+    {!meta_of_base_ms} of its base time, overwriting an entry whose
+    metadata did not parse. *)
+
 val record_cached : ?fuel:int -> cache_dir:string -> t -> (run, string) result
-(** Like {!record}, but consults the trace cache under [cache_dir] first.
-    On a hit the machine never runs: the trace and base execution time are
-    loaded from disk and [result] is [None]. On a miss, records normally
-    and then stores the trace (best-effort — a read-only cache directory
-    degrades to plain {!record}). *)
+(** Like {!record}, but through {!cached_trace} under [cache_dir] with
+    key {!cache_key}. On a hit the machine never runs: the trace and base
+    execution time are loaded from disk, the source is compiled again
+    (for the [compiled] field) and [result] is [None]. On a miss it
+    records normally and stores the trace (best-effort). *)

@@ -182,6 +182,97 @@ let test_reuse_degrades_to_build () =
   Alcotest.(check bool) "still identical to fixed scan" true
     (planned = Replay.discover_and_replay ~engine:Replay.Scan trace)
 
+(* --- forced engines: the planner as the [--engine] override ---
+
+   A forced engine must give exactly the fixed engine's report, without
+   consulting (or counting) the cost model. *)
+
+let decision_counters snap =
+  List.filter
+    (fun (n, total, _) ->
+      total > 0 && String.starts_with ~prefix:"planner.decision." n)
+    snap.Metrics.counters
+
+let test_forced_engine engine () =
+  let trace = make_trace ~objects:48 ~events:60_000 ~seed:16 in
+  Metrics.reset ();
+  Metrics.set_enabled true;
+  let logged = ref 0 in
+  let forced =
+    Fun.protect
+      ~finally:(fun () -> Metrics.set_enabled false)
+      (fun () -> Planner.replay ~engine ~log:(fun _ -> incr logged) trace)
+  in
+  let snap = Metrics.snapshot () in
+  Metrics.reset ();
+  Alcotest.(check int) "no planner.decision.* counted" 0
+    (List.length (decision_counters snap));
+  Alcotest.(check int) "no log line" 0 !logged;
+  Alcotest.(check bool) "identical to Replay.discover_and_replay" true
+    (forced = Replay.discover_and_replay ~engine trace)
+
+(* --- the index door: load_or_build over the on-disk cache --- *)
+
+let with_temp_dir f =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "ebp-test-planner-%d-%d" (Unix.getpid ())
+         (Random.int 100000))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      if Sys.file_exists dir then begin
+        Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+        Sys.rmdir dir
+      end)
+    (fun () -> f dir)
+
+let page_sizes = Replay.default_page_sizes
+
+let test_load_or_build_cache () =
+  with_temp_dir @@ fun dir ->
+  let trace = make_trace ~objects:8 ~events:3_000 ~seed:17 in
+  let key = "0123456789abcdef0123456789abcdef" in
+  let expected = Write_index.build ~page_sizes trace in
+  let cold = Planner.cache_index ~dir ~key ~page_sizes in
+  Alcotest.(check bool) "empty dir: nothing cached" false cold.Planner.cached;
+  Metrics.reset ();
+  Metrics.set_enabled true;
+  let built, loaded =
+    Fun.protect
+      ~finally:(fun () -> Metrics.set_enabled false)
+      (fun () ->
+        let built = Planner.load_or_build ~page_sizes cold trace in
+        let warm = Planner.cache_index ~dir ~key ~page_sizes in
+        Alcotest.(check bool) "the build was stored" true warm.Planner.cached;
+        (built, Planner.load_or_build ~page_sizes warm trace))
+  in
+  let snap = Metrics.snapshot () in
+  Metrics.reset ();
+  Alcotest.(check bool) "built on a miss" true (Write_index.equal built expected);
+  Alcotest.(check bool) "loaded when present" true
+    (Write_index.equal loaded expected);
+  Alcotest.(check int) "one index miss" 1
+    (counter_value snap "trace_cache.index_misses");
+  Alcotest.(check int) "one index hit" 1
+    (counter_value snap "trace_cache.index_hits")
+
+let test_load_or_build_unwritable () =
+  with_temp_dir @@ fun dir ->
+  Sys.mkdir dir 0o755;
+  (* A cache "directory" under a regular file: no store can succeed,
+     whoever runs the test. *)
+  let file = Filename.concat dir "not-a-dir" in
+  Out_channel.with_open_bin file (fun oc -> output_string oc "x");
+  let trace = make_trace ~objects:8 ~events:3_000 ~seed:18 in
+  let source =
+    Planner.cache_index ~dir:(Filename.concat file "cache")
+      ~key:"0123456789abcdef0123456789abcdef" ~page_sizes
+  in
+  let index = Planner.load_or_build ~page_sizes source trace in
+  Alcotest.(check bool) "still an index" true
+    (Write_index.equal index (Write_index.build ~page_sizes trace))
+
 (* --- decision reasons (streaming pipeline observability) --- *)
 
 let contains s sub =
@@ -255,6 +346,19 @@ let () =
           Alcotest.test_case "reuse" `Quick test_branch_reuse;
           Alcotest.test_case "reuse degrades to build" `Quick
             test_reuse_degrades_to_build;
+        ] );
+      ( "forced engine",
+        [
+          Alcotest.test_case "scan" `Quick (test_forced_engine Replay.Scan);
+          Alcotest.test_case "indexed" `Quick
+            (test_forced_engine Replay.Indexed);
+        ] );
+      ( "index door",
+        [
+          Alcotest.test_case "load or build over the cache" `Quick
+            test_load_or_build_cache;
+          Alcotest.test_case "unwritable cache dir" `Quick
+            test_load_or_build_unwritable;
         ] );
       ( "reasons",
         [

@@ -641,6 +641,98 @@ let test_socket_flood_overload () =
   | _ -> Alcotest.fail "shutdown");
   Alcotest.(check int) "clean exit" 0 (wait_exit pid)
 
+(* Hundreds of distinct queries pipelined in one write: their replies
+   (a few hundred KB together, more than a socket buffer holds, so the
+   daemon's writes go partial) must arrive whole and in request order,
+   each byte-identical to the batch render. *)
+let test_socket_pipelined_replies () =
+  let socket_path = temp_socket () in
+  let n = 300 in
+  let pid =
+    fork_server ~socket_path { Core.default_config with queue_limit = n }
+  in
+  (* One write per global, each from its own pc: a tiny trace whose
+     [group by pc] replies run to hundreds of rows. *)
+  let globals = 400 in
+  let source =
+    String.concat ""
+      (List.init globals (Printf.sprintf "int g%d;\n"))
+    ^ "int main() {\n"
+    ^ String.concat ""
+        (List.init globals (fun i -> Printf.sprintf "  g%d = %d;\n" i i))
+    ^ "  return 0;\n}\n"
+  in
+  let exprs =
+    List.init n (fun k -> Printf.sprintf "count where pc >= %d group by pc" k)
+  in
+  let expected =
+    match Ebp_trace.Recorder.record_source ~seed:1 source with
+    | Error msg -> Alcotest.fail msg
+    | Ok (_, trace, _) ->
+        List.map
+          (fun expr ->
+            match Ebp_query.Query.parse expr with
+            | Error _ -> Alcotest.failf "%S must parse" expr
+            | Ok q ->
+                let e = Ebp_query.Query.run trace q in
+                Ebp_query.Query.render ~format:Ebp_query.Query.Table trace q
+                  e.Ebp_query.Query.raw)
+          exprs
+  in
+  (match Client.with_client ~socket_path (fun c -> Client.request c P.Ping) with
+  | Ok P.Pong -> ()
+  | _ -> Alcotest.fail "ping before pipelining");
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX socket_path);
+  (* A lost reply fails the test instead of hanging it. *)
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 60.0;
+  let payload =
+    String.concat ""
+      (List.map
+         (fun expr ->
+           P.encode_request
+             (P.Query
+                { name = "globals"; source; seed = 1; expr; engine = "auto";
+                  format = "table" }))
+         exprs)
+  in
+  let rec write_all pos =
+    if pos < String.length payload then
+      write_all
+        (pos + Unix.write_substring fd payload pos (String.length payload - pos))
+  in
+  write_all 0;
+  let buf = Buffer.create 65536 in
+  let chunk = Bytes.create 65536 in
+  let rec read_reports pos acc remaining =
+    if remaining = 0 then List.rev acc
+    else
+      let s = Buffer.contents buf in
+      match P.decode ~buf:s ~pos ~len:(String.length s - pos) with
+      | `Frame (P.Response (P.Report r), consumed) ->
+          read_reports (pos + consumed) (r :: acc) (remaining - 1)
+      | `Frame (f, _) ->
+          Alcotest.failf "unexpected %s" (Format.asprintf "%a" P.pp_frame f)
+      | `Corrupt msg -> Alcotest.failf "corrupt stream: %s" msg
+      | `Need_more ->
+          let got = Unix.read fd chunk 0 (Bytes.length chunk) in
+          if got = 0 then Alcotest.fail "server closed early";
+          Buffer.add_subbytes buf chunk 0 got;
+          read_reports pos acc remaining
+  in
+  let served = read_reports 0 [] n in
+  Unix.close fd;
+  Alcotest.(check bool) "replies outgrow a socket buffer" true
+    (Buffer.length buf > 256 * 1024);
+  List.iteri
+    (fun k (want, got) ->
+      Alcotest.(check string) (Printf.sprintf "reply %d" k) want got)
+    (List.combine expected served);
+  (match Client.with_client ~socket_path (fun c -> Client.request c P.Shutdown) with
+  | Ok P.Shutdown_ack -> ()
+  | _ -> Alcotest.fail "shutdown");
+  Alcotest.(check int) "clean exit" 0 (wait_exit pid)
+
 let test_socket_garbage_stream () =
   let socket_path = temp_socket () in
   let pid = fork_server ~socket_path Core.default_config in
@@ -774,6 +866,8 @@ let () =
         [
           Alcotest.test_case "bit-identity, all workloads" `Slow test_socket_bit_identity;
           Alcotest.test_case "flood gets backpressure" `Quick test_socket_flood_overload;
+          Alcotest.test_case "pipelined replies whole and in order" `Quick
+            test_socket_pipelined_replies;
           Alcotest.test_case "garbage stream" `Quick test_socket_garbage_stream;
           Alcotest.test_case "malformed query stays connected" `Quick
             test_socket_malformed_query;
